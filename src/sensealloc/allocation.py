@@ -4,9 +4,11 @@ Minimizing the aggregate disturbance sqrt(sum_i w_i^2 sigma_i^2(r_i)) over the
 budget simplex is a separable convex problem.  At the optimum every funded
 feature shares a common marginal value -d sigma/d r_i = lambda, and features
 whose marginal at the floor already falls below lambda receive nothing.  The
-solver locates that common level by bisection, inverting the per-feature
-marginal analytically for the built-in families and numerically for tabulated
-ones.  The closed forms for the inverse and inverse-sqrt families and the bit
+solver locates that common level by bisection; each step asks the noise
+model for the resource at which every feature's marginal reaches the level
+(:meth:`NoiseModel.marginal_inverse`) and clamps it to the model's
+:meth:`NoiseModel.bracket`, so no noise formula lives in this module.
+The closed forms for the inverse and inverse-sqrt families and the bit
 budget are provided separately and double as cheap cross-checks.
 """
 
@@ -15,12 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import NoiseModel, ResourceVector, _as_weights
+from .core import NoiseModel, ResourceVector, _as_weights, noise_variance
 from .errors import (
     BudgetTooSmallError,
     DegenerateClassifierError,
@@ -50,33 +51,10 @@ def _neg_dvar(nm: NoiseModel, w2: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _invert_marginal(nm: NoiseModel, w2: np.ndarray, active: np.ndarray,
-                     nu: float, floor: float, r_cap: Optional[float]) -> np.ndarray:
+                     nu: float, floor: float, r_cap: float) -> np.ndarray:
     """Solve g_i(r) = nu per active feature, clamped to [floor, r_cap]."""
-    d = w2.shape[0]
-    r = np.zeros(d)
-    c2 = nm.scale_vector(d) ** 2
-    idx = np.flatnonzero(active)
-    if nm.family == "inverse":
-        r[idx] = np.cbrt(2.0 * w2[idx] * c2[idx] / nu)
-    elif nm.family == "inverse_sqrt":
-        r[idx] = np.sqrt(w2[idx] * c2[idx] / nu)
-    elif nm.family == "quantization":
-        arg = 2.0 * math.log(2.0) * w2[idx] * c2[idx] / nu
-        r[idx] = np.where(arg > 0, np.log2(np.maximum(arg, 1e-300)) / 2.0, 0.0)
-    else:
-        lo = max(floor, nm.table[0][0])
-        hi = nm.table[0][-1]
-        for i in idx:
-            g = lambda x: float(_neg_dvar(nm, w2[i:i + 1], np.array([x]))[0]) - nu
-            if g(lo) <= 0:
-                r[i] = floor
-            elif g(hi) >= 0:
-                r[i] = hi
-            else:
-                r[i] = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    r[idx] = np.maximum(r[idx], floor)
-    if r_cap is not None:
-        r[idx] = np.minimum(r[idx], r_cap)
+    r = np.zeros(w2.shape[0])
+    r[active] = np.clip(nm.marginal_inverse(nu, w2)[active], floor, r_cap)
     return r
 
 
@@ -88,30 +66,17 @@ def _waterfill(weights: np.ndarray, nm: NoiseModel, R: float):
     active = w2 > 0.0
     if not np.any(active):
         raise DegenerateClassifierError("all classifier weights are zero")
-    if nm.family == "tabulated":
-        nm.validate()
-    floor = nm.floor_for(R)
+    floor, r_cap = nm.bracket(R)
     n_active = int(active.sum())
     if floor * n_active >= R:
         raise InfeasibleSetError(
             f"floor {floor:.3g} x {n_active} active features exceeds budget {R:.3g}"
         )
-    r_cap = nm.table[0][-1] if nm.family == "tabulated" else None
-
-    if n_active == 1:
-        r = np.zeros(d)
-        r[active] = R if r_cap is None else min(R, r_cap)
-        leftover = R - r.sum()
-        if leftover > 0 and r_cap is not None:
-            r[active] += leftover  # flat sigma beyond the table; budget kept saturated
-        g = _neg_dvar(nm, w2, np.maximum(r, floor))
-        return r, float(np.max(g[active]))
 
     g_floor = _neg_dvar(nm, w2, np.full(d, floor))
-    g_at_R = _neg_dvar(nm, w2, np.full(d, float(R) if r_cap is None else min(R, r_cap)))
+    g_at_R = _neg_dvar(nm, w2, np.full(d, min(float(R), r_cap)))
     nu_hi = float(np.max(g_floor[active])) * 2.0 + 1e-300
-    nu_lo = float(np.min(g_at_R[active])) * 0.5
-    nu_lo = max(nu_lo, 1e-300)
+    nu_lo = max(float(np.min(g_at_R[active])) * 0.5, 1e-300)
 
     def excess(log_nu: float) -> float:
         r = _invert_marginal(nm, w2, active, math.exp(log_nu), floor, r_cap)
@@ -120,13 +85,13 @@ def _waterfill(weights: np.ndarray, nm: NoiseModel, R: float):
     lo, hi = math.log(nu_lo), math.log(nu_hi)
     f_lo = excess(lo)
     for _ in range(200):
-        if f_lo > 0 or (r_cap is not None and n_active * r_cap <= R):
+        if f_lo > 0 or n_active * r_cap <= R:
             break
         lo -= 2.0
         f_lo = excess(lo)
     if f_lo <= 0:
-        # every feature is capped by the table yet the budget is not spent;
-        # sigma is flat beyond the table, so spread the leftover evenly
+        # every feature is capped yet the budget is not spent; sigma is flat
+        # beyond the cap, so spread the leftover evenly
         r = _invert_marginal(nm, w2, active, math.exp(lo), floor, r_cap)
         r[active] += (R - r.sum()) / n_active
         return r, math.exp(lo)
@@ -143,27 +108,23 @@ def _result_from(weights: np.ndarray, nm: NoiseModel, R: float, r: np.ndarray,
                  nu: float) -> AllocationResult:
     floor = nm.floor_for(R)
     clamped = np.maximum(r, floor)
+    rv = ResourceVector(r, R)
+    agg = math.sqrt(noise_variance(weights, rv, nm))
     active = weights != 0.0
-    var = float(np.sum(weights[active] ** 2 * nm.sigma_sq(clamped[active])))
-    agg = math.sqrt(var)
     lam = nu / (2.0 * agg) if agg > 0 else 0.0
     funded_mask = active & (r > floor * (1.0 + 1e-6))
     marginals = _neg_dvar(nm, weights**2, clamped) / (2.0 * agg) if agg > 0 else np.zeros_like(r)
-    residual = 0.0
-    if np.any(funded_mask):
-        residual = float(np.max(np.abs(marginals[funded_mask] - lam)))
-    unfunded = active & ~funded_mask
-    if np.any(unfunded):
-        residual = max(residual, float(np.max(marginals[unfunded] - lam)))
+    residual = max(float(np.max(np.abs(marginals[funded_mask] - lam), initial=0.0)),
+                   float(np.max(marginals[active & ~funded_mask] - lam, initial=0.0)))
     return AllocationResult(
-        r=ResourceVector(r, R),
+        r=rv,
         lam=lam,
         funded=np.flatnonzero(funded_mask),
         residual=residual,
     )
 
 
-def allocate_waterfill(w, nm: NoiseModel, R: float, tol: float = 1e-9) -> AllocationResult:
+def allocate_waterfill(w, nm: NoiseModel, R: float) -> AllocationResult:
     """Optimal allocation for a fixed classifier under a stochastic
     disturbance: minimizes sqrt(sum w_i^2 sigma_i^2(r_i)) over the budget
     simplex by bisection on the common marginal value.
@@ -171,8 +132,7 @@ def allocate_waterfill(w, nm: NoiseModel, R: float, tol: float = 1e-9) -> Alloca
     Features with w_i = 0 receive nothing; features with nonzero weight whose
     marginal at the floor is already below the water level stay clamped at
     the floor and are reported outside the funded set.  The bisection runs to
-    machine precision regardless of tol, which only names the stationarity
-    residual callers should expect to hold.
+    machine precision; the result reports its stationarity residual.
     """
     weights = _as_weights(w)
     if R <= 0:
@@ -181,7 +141,7 @@ def allocate_waterfill(w, nm: NoiseModel, R: float, tol: float = 1e-9) -> Alloca
     return _result_from(weights, nm, R, r, nu)
 
 
-def allocate_adversarial(w, nm: NoiseModel, R: float, tol: float = 1e-9) -> AllocationResult:
+def allocate_adversarial(w, nm: NoiseModel, R: float) -> AllocationResult:
     """Optimal allocation against a worst-case perturbation from the
     ellipsoid {x : sum (x_i / sigma_i(r_i))^2 <= 1}.
 
@@ -190,7 +150,7 @@ def allocate_adversarial(w, nm: NoiseModel, R: float, tol: float = 1e-9) -> Allo
     same separable problem as the stochastic case and shares its stationarity
     condition w_i^2 sigma_i sigma_i' = const across funded features.
     """
-    return allocate_waterfill(w, nm, R, tol)
+    return allocate_waterfill(w, nm, R)
 
 
 def allocate_inverse_sqrt(w, R: float) -> ResourceVector:

@@ -34,8 +34,6 @@ class RatioReport:
 
     theoretical_ratio: float
     empirical_ratio: float
-    lower_bound: Optional[float] = None
-    upper_bound: Optional[float] = None
 
 
 @dataclass(frozen=True)

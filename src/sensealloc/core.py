@@ -3,12 +3,14 @@
 A noise model maps the resource r_i spent on acquiring feature i to the
 standard deviation sigma_i(r_i) of the additive disturbance on that feature.
 Every built-in family is positive, strictly decreasing, and convex in r (and
-so is sigma_i^2), which is what the allocation solvers rely on.
+so is sigma_i^2), which is what the allocation solvers rely on.  Solvers see
+a family only through :class:`NoiseModel`, which scales its unit curve.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -17,9 +19,6 @@ import numpy as np
 from .errors import InfeasibleAllocationError, InvalidNoiseModelError
 
 ArrayLike = Union[np.ndarray, Sequence[float]]
-
-#: Families accepted by :class:`NoiseModel`.
-FAMILIES = ("inverse", "inverse_sqrt", "quantization", "tabulated")
 
 #: Relative floor applied to allocations when a model does not fix its own:
 #: sigma is never evaluated below ``FLOOR_FRACTION * budget``.
@@ -148,6 +147,84 @@ def _as_weights(w) -> np.ndarray:
     return np.asarray(w, dtype=float).ravel()
 
 
+class _Closed:
+    """Closed-form unit curve s, convex by construction: sigma = s(r),
+    dsigma_sq = d(s^2)/dr, marginal_inverse(a, nu) = r where -a d(s^2)/dr = nu."""
+
+    domain, cap, needs_check = (1e-6, 1e3), math.inf, False
+
+    def __init__(self, table):
+        self.table = table  # closed forms ignore it; kept as given
+
+
+class _Inverse(_Closed):
+    @staticmethod
+    def sigma(r):
+        with np.errstate(divide="ignore"):
+            return np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), np.inf)
+
+    dsigma_sq = staticmethod(lambda r: -2.0 / r**3)
+    marginal_inverse = staticmethod(lambda a, nu: np.cbrt(2.0 * a / nu))
+
+
+class _InverseSqrt(_Closed):
+    sigma = staticmethod(lambda r: _Inverse.sigma(np.sqrt(np.maximum(r, 0.0))))
+    dsigma_sq = staticmethod(lambda r: -1.0 / r**2)
+    marginal_inverse = staticmethod(lambda a, nu: np.sqrt(a / nu))
+
+
+class _Quantization(_Closed):
+    sigma = staticmethod(lambda r: np.exp2(-r))
+    dsigma_sq = staticmethod(lambda r: -2.0 * np.log(2.0) * np.exp2(-2.0 * r))
+    marginal_inverse = staticmethod(
+        lambda a, nu: np.log2(np.maximum(2.0 * math.log(2.0) * a / nu, 1e-300)) / 2.0)
+
+
+class _Tabulated:
+    """Piecewise-linear s through a (r_grid, s_grid) table, flat beyond it."""
+
+    needs_check = True
+
+    def __init__(self, table):
+        if table is None:
+            raise InvalidNoiseModelError("tabulated family requires a table")
+        r_grid = np.asarray(table[0], dtype=float)
+        s_grid = np.asarray(table[1], dtype=float)
+        if r_grid.ndim != 1 or r_grid.shape != s_grid.shape or r_grid.size < 2:
+            raise InvalidNoiseModelError("table must be two equal-length 1-D arrays")
+        if r_grid[0] <= 0 or np.any(np.diff(r_grid) <= 0):
+            raise InvalidNoiseModelError("table resource grid must be positive and increasing")
+        self.table = (_frozen_array(r_grid), _frozen_array(s_grid))
+        self.domain, self.cap = (r_grid[0], r_grid[-1]), r_grid[-1]
+
+    def sigma(self, r):
+        return np.interp(r, *self.table)
+
+    def dsigma_sq(self, r):
+        """Central differences, one-sided at the table ends and zero beyond."""
+        h = np.maximum(1e-6 * np.maximum(np.abs(r), 1.0), 1e-9)
+        lo, hi = np.clip(r - h, *self.domain), np.clip(r + h, *self.domain)
+        return (self.sigma(hi) ** 2 - self.sigma(lo) ** 2) / np.where(hi > lo, hi - lo, 1.0)
+
+    def marginal_inverse(self, a, nu):
+        """Lockstep bisection to brentq's tolerance; 0 where the marginal at the
+        table start is at most nu, the table end where it still exceeds nu."""
+        gap = lambda r: -a * self.dsigma_sq(r) - nu
+        lo, hi = np.full(np.shape(a), self.domain[0]), np.full(np.shape(a), self.cap)
+        below, above = gap(lo) <= 0, gap(hi) >= 0
+        while np.any(hi - lo > 1e-14 + 8.9e-16 * (mid := 0.5 * (lo + hi))):
+            up = gap(mid) > 0
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        return np.where(below, 0.0, np.where(above, self.cap, mid))
+
+
+#: Unit curve of each family, built from the model's table; the keys are the
+#: families accepted by :class:`NoiseModel`.
+_CURVES = {"inverse": _Inverse, "inverse_sqrt": _InverseSqrt,
+           "quantization": _Quantization, "tabulated": _Tabulated}
+FAMILIES = tuple(_CURVES)
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-feature disturbance scale as a function of allocated resource.
@@ -156,13 +233,13 @@ class NoiseModel:
         "inverse"       sigma_i(r) = scale_i / r
         "inverse_sqrt"  sigma_i(r) = scale_i / sqrt(r)   (variance ~ 1/r)
         "quantization"  sigma_i(r) = scale_i * 2**(-r)   (r counts bits)
-        "tabulated"     monotone piecewise-linear interpolation of `table`
+        "tabulated"     scale_i times the piecewise-linear interpolation of `table`
     scale:
-        scalar or per-feature multiplier c_i.
+        positive finite scalar, or one such multiplier c_i per feature.
     floor:
-        smallest allocation at which sigma is evaluated; None defers to
-        ``FLOOR_FRACTION * budget`` at the point of use.  Guards the
-        sigma(0) = inf singularity of the inverse families.
+        smallest allocation at which sigma is evaluated (positive, finite);
+        None defers to ``FLOOR_FRACTION * budget`` at the point of use.
+        Guards the sigma(0) = inf singularity of the inverse families.
     table:
         (r_grid, sigma_grid) pair, required for family "tabulated".
     """
@@ -173,30 +250,27 @@ class NoiseModel:
     table: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _CURVES:
             raise InvalidNoiseModelError(f"unknown family {self.family!r}")
-        if self.family == "tabulated":
-            if self.table is None:
-                raise InvalidNoiseModelError("tabulated family requires a table")
-            r_grid = np.asarray(self.table[0], dtype=float)
-            s_grid = np.asarray(self.table[1], dtype=float)
-            if r_grid.ndim != 1 or r_grid.shape != s_grid.shape or r_grid.size < 2:
-                raise InvalidNoiseModelError("table must be two equal-length 1-D arrays")
-            if np.any(np.diff(r_grid) <= 0):
-                raise InvalidNoiseModelError("table resource grid must be strictly increasing")
-            if np.any(r_grid <= 0):
-                raise InvalidNoiseModelError("table resource grid must be positive")
-            object.__setattr__(self, "table", (_frozen_array(r_grid), _frozen_array(s_grid)))
+        curve = _CURVES[self.family](self.table)
         scale = np.asarray(self.scale, dtype=float)
-        if np.any(scale <= 0):
-            raise InvalidNoiseModelError("scale constants must be positive")
+        if not np.all(np.isfinite(scale) & (scale > 0)):
+            raise InvalidNoiseModelError("scale constants must be positive and finite")
+        if self.floor is not None and not 0 < self.floor < math.inf:
+            raise InvalidNoiseModelError(f"floor must be positive and finite, got {self.floor}")
+        object.__setattr__(self, "table", curve.table)
         object.__setattr__(self, "scale", scale if scale.ndim else float(scale))
+        object.__setattr__(self, "_curve", curve)
 
     def floor_for(self, budget: float) -> float:
         return self.floor if self.floor is not None else FLOOR_FRACTION * budget
 
-    def scale_vector(self, d: int) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.scale, dtype=float), (d,)).astype(float)
+    def bracket(self, budget: float) -> Tuple[float, float]:
+        """(floor, cap) bounding each feature's resource in a solve at this
+        budget; cap is the table end, else inf.  Tables are validated first."""
+        if self._curve.needs_check:
+            self.validate()
+        return self.floor_for(budget), self._curve.cap
 
     def feature_scale(self, i: int) -> float:
         c = np.asarray(self.scale, dtype=float)
@@ -204,18 +278,7 @@ class NoiseModel:
 
     def sigma(self, r: ArrayLike) -> np.ndarray:
         """sigma_i(r_i) elementwise; inverse families return inf at r = 0."""
-        r = np.asarray(r, dtype=float)
-        c = np.broadcast_to(np.asarray(self.scale, dtype=float), r.shape)
-        if self.family == "inverse":
-            with np.errstate(divide="ignore"):
-                return np.where(r > 0, c / np.where(r > 0, r, 1.0), np.inf)
-        if self.family == "inverse_sqrt":
-            with np.errstate(divide="ignore"):
-                return np.where(r > 0, c / np.sqrt(np.where(r > 0, r, 1.0)), np.inf)
-        if self.family == "quantization":
-            return c * np.exp2(-r)
-        r_grid, s_grid = self.table
-        return c * np.interp(r, r_grid, s_grid)
+        return self.scale * self._curve.sigma(np.asarray(r, dtype=float))
 
     def sigma_sq(self, r: ArrayLike) -> np.ndarray:
         return self.sigma(r) ** 2
@@ -223,37 +286,26 @@ class NoiseModel:
     def dsigma_sq(self, r: ArrayLike) -> np.ndarray:
         """d(sigma_i^2)/dr at r; analytic for built-ins, central differences
         for tabulated models."""
-        r = np.asarray(r, dtype=float)
-        c = np.broadcast_to(np.asarray(self.scale, dtype=float), r.shape)
-        if self.family == "inverse":
-            return -2.0 * c**2 / r**3
-        if self.family == "inverse_sqrt":
-            return -(c**2) / r**2
-        if self.family == "quantization":
-            return -2.0 * np.log(2.0) * c**2 * np.exp2(-2.0 * r)
-        r_grid, _ = self.table
-        h = np.maximum(1e-6 * np.maximum(np.abs(r), 1.0), 1e-9)
-        lo = np.clip(r - h, r_grid[0], r_grid[-1])
-        hi = np.clip(r + h, r_grid[0], r_grid[-1])
-        span = np.where(hi > lo, hi - lo, 1.0)
-        return (self.sigma_sq(hi) - self.sigma_sq(lo)) / span
+        return self.scale**2 * self._curve.dsigma_sq(np.asarray(r, dtype=float))
+
+    def marginal_inverse(self, nu: float, w2: ArrayLike) -> np.ndarray:
+        """Resource at which -w2_i * d(sigma_i^2)/dr equals nu > 0, elementwise;
+        not clamped to :meth:`bracket`."""
+        return self._curve.marginal_inverse(np.asarray(w2, dtype=float) * self.scale**2, nu)
 
     def validate(self, lo: Optional[float] = None, hi: Optional[float] = None, n: int = 64):
         """Sampled sanity check: sigma positive, strictly decreasing, and
         midpoint-convex (same for sigma^2) on a grid in (lo, hi).
 
         Raises InvalidNoiseModelError on the first violated property.  The
-        built-in families satisfy these analytically; this mainly protects
-        against bad tabulated models.
+        check runs on the unit curve, since a positive scale changes none of
+        these; it mainly protects against bad tabulated models.
         """
-        if self.family == "tabulated":
-            lo = self.table[0][0] if lo is None else lo
-            hi = self.table[0][-1] if hi is None else hi
-        else:
-            lo = 1e-6 if lo is None else lo
-            hi = 1e3 if hi is None else hi
+        lo = self._curve.domain[0] if lo is None else lo
+        hi = self._curve.domain[1] if hi is None else hi
         grid = np.geomspace(lo, hi, n)
-        for values, name in ((self.sigma(grid), "sigma"), (self.sigma_sq(grid), "sigma^2")):
+        sigma = self._curve.sigma(grid)
+        for values, name in ((sigma, "sigma"), (sigma**2, "sigma^2")):
             if np.any(values <= 0) or not np.all(np.isfinite(values)):
                 raise InvalidNoiseModelError(f"{name} is not positive and finite on the grid")
             if np.any(np.diff(values) >= 0):
@@ -285,9 +337,7 @@ def noise_variance(w, r: ResourceVector, nm: NoiseModel) -> float:
     weights = _as_weights(w)
     clamped = check_allocation_feasible(weights, r, nm)
     active = weights != 0.0
-    if not np.any(active):
-        return 0.0
-    return float(np.sum(weights[active] ** 2 * nm.sigma_sq(clamped[active])))
+    return float(np.sum(weights[active] ** 2 * nm.sigma_sq(clamped)[active]))
 
 
 def sigma_aggregate(w, r: ResourceVector, nm: NoiseModel) -> float:

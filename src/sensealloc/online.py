@@ -72,14 +72,12 @@ class OnlineConfig:
 
 @dataclass
 class RegretTrace:
-    """Per-round record of an online run plus post-hoc regret bookkeeping."""
+    """Per-round record of an online run."""
 
     losses: np.ndarray
     weight_norms: np.ndarray
     allocations: np.ndarray
     grad_norms: np.ndarray
-    comparator_loss: Optional[float] = None
-    bound_value: Optional[float] = None
     stream_x: Optional[np.ndarray] = None
     stream_y: Optional[np.ndarray] = None
 
@@ -90,12 +88,6 @@ class RegretTrace:
     @property
     def cumulative_loss(self) -> float:
         return float(self.losses.sum())
-
-    @property
-    def regret(self) -> Optional[float]:
-        if self.comparator_loss is None:
-            return None
-        return self.cumulative_loss - self.comparator_loss
 
     def to_csv(self, path) -> None:
         d = self.allocations.shape[1]

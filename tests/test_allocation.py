@@ -127,6 +127,20 @@ def test_more_budget_never_hurts_a_feature(family):
     assert np.all(r2 >= r1 - 1e-9)
 
 
+@pytest.mark.parametrize("family", FAMILIES + ["tabulated"])
+@pytest.mark.parametrize("wlist", [[0.8, -1.5, 2.2], [1.0, 0.0, 0.7]])
+def test_vector_scale_matches_rescaled_weights(family, wlist, tabulated):
+    """A per-feature scale c acts on the objective exactly as weights w*c."""
+    extra = {"table": tabulated.table, "floor": 0.01} if family == "tabulated" else {}
+    c = np.array([1.0, 2.0, 0.5])
+    w = np.array(wlist)
+    got = allocate_waterfill(w, NoiseModel(family, scale=c, **extra), 6.0)
+    ref = allocate_waterfill(w * c, NoiseModel(family, **extra), 6.0)
+    np.testing.assert_allclose(got.r.alloc, ref.r.alloc, rtol=1e-9)
+    assert got.lam == pytest.approx(ref.lam, rel=1e-9)
+    assert got.residual < 1e-6
+
+
 def test_closed_forms_agree_with_waterfill():
     rng = np.random.default_rng(0)
     for _ in range(50):

@@ -72,6 +72,54 @@ def test_concave_table_rejected():
         concave.validate()  # decreasing but concave, and so is sigma^2
 
 
+def test_sigma_aggregate_vector_scale_with_zero_weight():
+    nm = NoiseModel("inverse_sqrt", scale=[1.0, 2.0, 0.5])
+    r = ResourceVector(np.array([1.0, 2.0, 4.0]), 7.0)
+    got = sigma_aggregate(np.array([1.0, 0.0, 0.7]), r, nm)
+    assert got == pytest.approx(math.sqrt(1.0 + 0.7**2 * 0.5**2 / 4.0), rel=1e-12)
+
+
+def test_tabulated_vector_scale_validates(tabulated):
+    scaled = NoiseModel("tabulated", scale=[1.0, 2.0, 0.5], table=tabulated.table, floor=0.01)
+    scaled.validate()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"scale": np.nan}, {"scale": np.inf}, {"scale": [1.0, np.inf]}, {"scale": [np.nan, 1.0]},
+    {"floor": np.nan}, {"floor": np.inf}, {"floor": 0.0}, {"floor": -1.0},
+])
+def test_non_finite_or_non_positive_inputs_rejected(kwargs):
+    with pytest.raises(InvalidNoiseModelError):
+        NoiseModel("inverse_sqrt", **kwargs)
+
+
+_GRID = np.geomspace(0.01, 50.0, 400)
+_SCALE = np.array([1.0, 2.0, 0.5])
+ROUND_TRIP_MODELS = [
+    NoiseModel("inverse", scale=_SCALE),
+    NoiseModel("inverse_sqrt", scale=_SCALE),
+    NoiseModel("quantization", scale=_SCALE),
+    NoiseModel("tabulated", scale=_SCALE, table=(_GRID, 1.0 / np.sqrt(_GRID)), floor=0.01),
+]
+
+
+@given(
+    st.sampled_from(ROUND_TRIP_MODELS),
+    st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=3, max_size=3),
+    st.floats(min_value=-4.0, max_value=4.0),
+)
+@settings(max_examples=120, deadline=None)
+def test_marginal_inverse_round_trip(nm, wlist, log_nu):
+    """-w^2 dsigma^2/dr at the inverted resource gives back the level nu
+    wherever the inverse lands strictly inside the solver's bracket."""
+    w2 = np.array(wlist) ** 2
+    nu = 10.0**log_nu
+    r = nm.marginal_inverse(nu, w2)
+    floor, cap = nm.bracket(10.0)
+    inside = (r > floor) & (r < cap)
+    np.testing.assert_allclose(-w2[inside] * nm.dsigma_sq(r)[inside], nu, rtol=1e-8)
+
+
 def test_bad_tables_rejected():
     with pytest.raises(InvalidNoiseModelError):
         NoiseModel("tabulated")
