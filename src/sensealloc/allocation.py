@@ -26,6 +26,7 @@ from .errors import (
     BudgetTooSmallError,
     DegenerateClassifierError,
     InfeasibleSetError,
+    InvalidNoiseModelError,
 )
 
 
@@ -135,8 +136,11 @@ def allocate_waterfill(w, nm: NoiseModel, R: float) -> AllocationResult:
     machine precision; the result reports its stationarity residual.
     """
     weights = _as_weights(w)
-    if R <= 0:
-        raise InfeasibleSetError(f"budget must be positive, got {R}")
+    if not 0 < R < math.inf:
+        raise InfeasibleSetError(f"budget must be positive and finite, got {R}")
+    if isinstance(nm.scale, np.ndarray) and nm.scale.size not in (1, weights.shape[0]):
+        raise InvalidNoiseModelError(
+            f"{nm.scale.size} scale constants for {weights.shape[0]} features")
     r, nu = _waterfill(weights, nm, R)
     return _result_from(weights, nm, R, r, nu)
 
@@ -241,25 +245,29 @@ def simplex_projection_raw(v: np.ndarray, R: float, floor: float = 0.0) -> np.nd
     target = R - d * floor
     u = np.sort(shifted)[::-1]
     css = np.cumsum(u)
-    rho_mask = u - (css - target) / np.arange(1, d + 1) > 0
-    rho = int(np.nonzero(rho_mask)[0].max()) + 1
+    support = u - (css - target) / np.arange(1, d + 1) > 0
+    support[0] = True  # the largest entry is always in; cancellation can hide it
+    rho = int(np.nonzero(support)[0].max()) + 1
     theta = (css[rho - 1] - target) / rho
     out = np.maximum(shifted - theta, 0.0) + floor
     gap = R - float(out.sum())
     if gap != 0.0:
         # spread float dust (scales with the input magnitude) over entries
-        # that can absorb it without crossing the floor
+        # that can absorb it without crossing the floor, else over the support
         cand = out >= floor + abs(gap)
         if not np.any(cand):
-            cand = out > floor
+            cand = shifted >= u[rho - 1]
         out[cand] += gap / int(cand.sum())
     return out
 
 
 def project_simplex(v, R: float, floor: float = 0.0) -> ResourceVector:
     """Euclidean projection of v onto {r : sum r_i = R, r_i >= floor} by the
-    sort-and-threshold rule; exact for every input."""
+    sort-and-threshold rule; exact for every finite input."""
     v = np.asarray(v, dtype=float).ravel()
-    if R <= v.shape[0] * floor:
-        raise InfeasibleSetError(f"simplex empty: R={R} <= d*floor={v.shape[0] * floor}")
+    if not np.all(np.isfinite(v)):
+        raise InfeasibleSetError("cannot project a point with NaN or infinite entries")
+    if not v.shape[0] * floor < R < math.inf:
+        raise InfeasibleSetError(
+            f"simplex empty or unbounded: R={R}, d*floor={v.shape[0] * floor}")
     return ResourceVector(simplex_projection_raw(v, R, floor), R)

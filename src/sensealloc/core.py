@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import InfeasibleAllocationError, InvalidNoiseModelError
+from .errors import InfeasibleAllocationError, InvalidInputError, InvalidNoiseModelError
 
 ArrayLike = Union[np.ndarray, Sequence[float]]
 
@@ -118,13 +118,15 @@ class ResourceVector:
 
     def __post_init__(self):
         r = np.asarray(self.alloc, dtype=float).ravel()
-        if self.budget <= 0:
-            raise InfeasibleAllocationError(f"budget must be positive, got {self.budget}")
-        if np.any(r < 0):
-            raise InfeasibleAllocationError("negative allocation entry")
-        if r.sum() > self.budget * (1 + 1e-9) + 1e-12:
+        if not 0 < self.budget < math.inf:
             raise InfeasibleAllocationError(
-                f"allocation sum {r.sum():.12g} exceeds budget {self.budget:.12g}"
+                f"budget must be positive and finite, got {self.budget}")
+        total = float(r.sum())
+        if np.any(r < 0) or math.isnan(total):
+            raise InfeasibleAllocationError("negative or NaN allocation entry")
+        if total > self.budget * (1 + 1e-9) + 1e-12:
+            raise InfeasibleAllocationError(
+                f"allocation sum {total:.12g} exceeds budget {self.budget:.12g}"
             )
         object.__setattr__(self, "alloc", _frozen_array(r))
         object.__setattr__(self, "budget", float(self.budget))
@@ -144,7 +146,10 @@ class ResourceVector:
 def _as_weights(w) -> np.ndarray:
     if isinstance(w, LinearClassifier):
         return w.weights
-    return np.asarray(w, dtype=float).ravel()
+    weights = np.asarray(w, dtype=float).ravel()
+    if not np.isfinite(weights).all():
+        raise InvalidInputError("classifier weights must be finite")
+    return weights
 
 
 class _Closed:
@@ -344,36 +349,6 @@ def sigma_aggregate(w, r: ResourceVector, nm: NoiseModel) -> float:
     """Disturbance scale along the classifier direction:
     sqrt(sum_i w_i^2 sigma_i(r_i)^2)."""
     return float(np.sqrt(noise_variance(w, r, nm)))
-
-
-@dataclass(frozen=True)
-class FeasibleSet:
-    """Joint constraint set for (w, r): a norm ball on w and the scaled
-    simplex {sum r = R, r >= floor} on r."""
-
-    budget: float
-    weight_cap: float
-    cap_norm: str = "l2"
-    resource_floor: float = 0.0
-
-    def __post_init__(self):
-        if self.cap_norm not in ("l1", "l2"):
-            raise ValueError("cap_norm must be 'l1' or 'l2'")
-        if self.budget <= 0 or self.weight_cap <= 0:
-            raise ValueError("budget and weight cap must be positive")
-
-    @property
-    def diameter(self) -> float:
-        """Largest distance between two feasible (w, r) pairs."""
-        return 2.0 * float(np.sqrt(self.budget**2 + self.weight_cap**2))
-
-    def contains(self, w: np.ndarray, r: np.ndarray, atol: float = 1e-9) -> bool:
-        norm = np.sum(np.abs(w)) if self.cap_norm == "l1" else np.linalg.norm(w)
-        return (
-            norm <= self.weight_cap + atol
-            and abs(np.sum(r) - self.budget) <= atol * max(1.0, self.budget)
-            and bool(np.all(r >= self.resource_floor - atol))
-        )
 
 
 def synthetic_label(points: np.ndarray, a: float, noise: ArrayLike = 0.0) -> np.ndarray:

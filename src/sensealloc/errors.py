@@ -5,6 +5,10 @@ class SenseAllocError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidInputError(SenseAllocError, ValueError):
+    """An input value is NaN, infinite, or outside its domain."""
+
+
 class DegenerateClassifierError(SenseAllocError):
     """All classifier weights are zero; the allocation problem is undefined."""
 

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .allocation import allocate_adversarial
-from .batch import SolveReport, fit_hinge, solve_robust_hinge
+from .batch import _robust_hinge_from, fit_hinge
 from .core import (
     Dataset,
     NoiseModel,
@@ -34,7 +34,7 @@ from .core import (
     generate_synthetic,
     inject_noise,
 )
-from .errors import ConfigError, DataError, SolverDivergenceError
+from .errors import ConfigError, DataError
 from .online import OnlineConfig, SampleOracle, run_noisy, run_unknown
 
 EXPERIMENT_KINDS = (
@@ -347,15 +347,12 @@ def _classification_rows(cfg: ExperimentConfig, ds: Dataset, nm: NoiseModel,
         if normalize:
             train, test = _normalize_split(train, test)
         clean_clf = fit_hinge(train, iters=600)
+        # solve_robust_hinge's own warm start (its default inner_iters), shared
+        # by every budget and both regimes since it depends on neither
+        start = fit_hinge(train, iters=400)
         for R in cfg.budgets:
-            flag = ""
-            try:
-                rep_u = solve_robust_hinge(train, nm, R, optimize_allocation=False)
-                rep_j = solve_robust_hinge(train, nm, R, optimize_allocation=True)
-            except SolverDivergenceError:
-                flag = "divergence"
-                rep_u = SolveReport(clean_clf, ResourceVector.uniform(R, ds.n_features), None)
-                rep_j = rep_u
+            rep_u = _robust_hinge_from(train, nm, R, start, optimize_allocation=False)
+            rep_j = _robust_hinge_from(train, nm, R, start)
             if report_sink is not None:
                 report_sink.append(rep_u)
                 report_sink.append(rep_j)
@@ -373,16 +370,14 @@ def _classification_rows(cfg: ExperimentConfig, ds: Dataset, nm: NoiseModel,
                     rng=RngConfig(_subseed(cfg.seed, f"eval-{fold}-{R:.6g}-{rule}")),
                     scale_mode=cfg.scale_mode,
                 )
-                err = _error_rate(clf, noisy)
-                per_key.setdefault((R, rule), []).append((err, flag))
+                per_key.setdefault((R, rule), []).append(_error_rate(clf, noisy))
     table = ResultTable()
-    for (R, rule), entries in sorted(per_key.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        errs = np.array([e for e, _ in entries])
-        flags = sorted({f for _, f in entries if f})
+    for (R, rule), errs in sorted(per_key.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+        errs = np.array(errs)
         sd = float(errs.std(ddof=1)) if errs.size > 1 else 0.0
         table.rows.append(ResultRow(
             R=float(R), rule=rule, mean_error=float(errs.mean()),
-            sd_error=sd, folds=len(entries), flag=";".join(flags),
+            sd_error=sd, folds=errs.size,
         ))
     return table
 

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .core import Dataset, NoiseModel, ResourceVector, _as_weights, noise_variance
+from .errors import InvalidInputError
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -56,8 +57,8 @@ def gaussian_hinge_expected(margin, sigma: float):
     margins.  The normal CDF comes from scipy's ndtr (erf-based, accurate to
     machine precision), so its error never limits test tolerances.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise InvalidInputError(f"sigma must be nonnegative and finite, got {sigma}")
     m = np.asarray(margin, dtype=float)
     u = 1.0 - m
     if sigma == 0.0:

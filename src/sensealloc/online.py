@@ -30,7 +30,7 @@ import numpy as np
 
 from .allocation import simplex_projection_raw
 from .core import NoiseModel, RngConfig
-from .errors import ConfigError
+from .errors import ConfigError, InfeasibleSetError
 
 AllocRule = Union[str, Callable[[np.ndarray], np.ndarray]]
 
@@ -58,10 +58,11 @@ class OnlineConfig:
     bound_params: Optional[BoundParams] = None
 
     def __post_init__(self):
-        if self.weight_cap <= 0 or self.budget <= 0:
-            raise ConfigError("weight cap and budget must be positive")
-        if self.epsilon <= 0:
-            raise ConfigError(f"probe step epsilon must be positive, got {self.epsilon}")
+        if not (0 < self.weight_cap < math.inf and 0 < self.budget < math.inf):
+            raise ConfigError("weight cap and budget must be positive and finite")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError(
+                f"probe step epsilon must be positive and finite, got {self.epsilon}")
         if self.horizon < 1:
             raise ConfigError("horizon must be at least one round")
 
@@ -176,12 +177,17 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     soft-thresholding of the magnitudes."""
     v = np.asarray(v, dtype=float)
     mags = np.abs(v)
-    if mags.sum() <= radius:
+    total = mags.sum()
+    if total <= radius:
         return v.copy()
+    if not (math.isfinite(total) and radius >= 0):
+        raise InfeasibleSetError(f"cannot project |v|_1 = {total} onto radius {radius}")
     u = np.sort(mags)[::-1]
     css = np.cumsum(u)
     j = np.arange(1, v.size + 1)
-    rho = int(np.nonzero(u - (css - radius) / j > 0)[0].max()) + 1
+    support = u - (css - radius) / j > 0
+    support[0] = True  # the largest entry is always in; cancellation can hide it
+    rho = int(np.nonzero(support)[0].max()) + 1
     theta = (css[rho - 1] - radius) / rho
     return np.sign(v) * np.maximum(mags - theta, 0.0)
 

@@ -20,6 +20,7 @@ from sensealloc.errors import (
     BudgetTooSmallError,
     DegenerateClassifierError,
     InfeasibleSetError,
+    InvalidInputError,
     InvalidNoiseModelError,
 )
 
@@ -282,3 +283,43 @@ class TestSimplexProjection:
         pu = project_simplex(u, 2.0).alloc
         pv = project_simplex(v, 2.0).alloc
         assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("solve", [
+    lambda w: allocate_waterfill(w, NoiseModel("inverse_sqrt"), 6.0),
+    lambda w: allocate_inverse_sqrt(w, 6.0),
+    lambda w: allocate_inverse(w, 6.0),
+    lambda w: allocate_quantization(w, 6.0),
+], ids=["waterfill", "inverse_sqrt", "inverse", "quantization"])
+def test_non_finite_weights_rejected(solve, bad):
+    with pytest.raises(InvalidInputError):
+        solve([1.0, bad, 2.0])
+
+
+@pytest.mark.parametrize("R", [np.nan, np.inf])
+def test_waterfill_rejects_bad_budget(inverse_sqrt, R):
+    with pytest.raises(InfeasibleSetError):
+        allocate_waterfill([1.0, 2.0], inverse_sqrt, R)
+
+
+def test_waterfill_rejects_scale_length_mismatch():
+    with pytest.raises(InvalidNoiseModelError):
+        allocate_waterfill([1.0, 2.0], NoiseModel("inverse", scale=[1.0, 2.0, 3.0]), 3.0)
+
+
+class TestProjectionRobustness:
+    def test_cancellation_keeps_largest_entry(self):
+        # the cumulative sum cancels to 0 and hides every support entry
+        out = project_simplex([1e300, -1e300, 2.0], 3.0)
+        np.testing.assert_array_equal(out.alloc, [3.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("v", [[1.0, np.nan, 2.0], [np.inf, 0.0], [-np.inf, 1.0]])
+    def test_non_finite_point_rejected(self, v):
+        with pytest.raises(InfeasibleSetError):
+            project_simplex(v, 3.0)
+
+    @pytest.mark.parametrize("R", [np.nan, np.inf])
+    def test_non_finite_budget_rejected(self, R):
+        with pytest.raises(InfeasibleSetError):
+            project_simplex([1.0, 2.0], R)

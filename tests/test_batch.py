@@ -17,6 +17,7 @@ from sensealloc import (
     solve_square_alternating,
     square_loss_total,
 )
+from sensealloc.batch import _hinge_problem, _robust_hinge_from
 from sensealloc.errors import RankDeficiencyError, SolverDivergenceError
 
 
@@ -176,3 +177,45 @@ class TestRobustHinge:
         ds = Dataset(np.ones((3, 2)), np.array([0.1, 0.2, 0.3]))
         with pytest.raises(ValueError):
             solve_robust_hinge(ds, inverse_sqrt, 1.0)
+
+
+@pytest.mark.parametrize("optimize_allocation", [False, True])
+def test_shared_start_matches_solve_robust_hinge(inverse_sqrt, optimize_allocation):
+    ds = generate_synthetic(7.0, 600, rng=RngConfig(12))
+    kw = dict(inner_iters=150, max_iter=6, optimize_allocation=optimize_allocation)
+    start = fit_hinge(ds, iters=150)
+    for R in (1.5, 9.0):  # one start serves every budget
+        shared = _robust_hinge_from(ds, inverse_sqrt, R, start, **kw)
+        alone = solve_robust_hinge(ds, inverse_sqrt, R, **kw)
+        assert np.array_equal(shared.classifier.weights, alone.classifier.weights)
+        assert shared.classifier.bias == alone.classifier.bias
+        assert np.array_equal(shared.resources.alloc, alone.resources.alloc)
+        assert shared.objective_trace == alone.objective_trace
+
+
+def test_hinge_subgradient_matches_finite_differences_and_masked_sum():
+    rng = np.random.default_rng(13)
+    M, d = 300, 4
+    X = rng.normal(size=(M, d))
+    y = np.where(rng.random(M) < 0.5, -1.0, 1.0)
+    sigma_sq = rng.uniform(0.1, 2.0, d)
+    problem = _hinge_problem(X, y, sigma_sq)
+    checked = 0
+    for _ in range(20):
+        w, b = rng.normal(size=d), float(rng.normal())
+        margins = y * (X @ w + b)
+        if np.min(np.abs(margins - 1.0)) < 1e-4:
+            continue  # too close to a hinge kink for central differences
+        checked += 1
+        f, g_w, g_b = problem(w, b)
+        z = np.append(w, b)
+        fd = finite_diff_grad(lambda v: problem(v[:d], float(v[d]))[0] / M, z, h=1e-7)
+        np.testing.assert_allclose(np.append(g_w, g_b), fd, atol=1e-6)
+        # reference: sum over the margin violators, gathered by a boolean mask
+        active = margins < 1.0
+        support = math.sqrt(float(np.sum(w**2 * sigma_sq)))
+        ref_w = -(y[active, None] * X[active]).sum(axis=0) / M + (w * sigma_sq) / (support * M)
+        np.testing.assert_allclose(g_w, ref_w, rtol=0, atol=1e-12)
+        assert g_b == -float(y[active].sum()) / M
+        assert f == support + float(np.sum(np.maximum(0.0, 1.0 - margins)))
+    assert checked >= 10

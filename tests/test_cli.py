@@ -122,3 +122,14 @@ def test_skin_experiment_via_cli(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["columns"][0] == "R"
     assert len(payload["rows"]) == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["--weights", "1,nan", "--budget", "3"],
+    ["--weights", "0,0", "--budget", "3"],
+    ["--weights", "1,2", "--budget", "3", "--family", "tabulated"],
+    ["--weights", "1,2", "--budget", "-3"],
+], ids=["nan-weight", "zero-weights", "tabulated-without-table", "negative-budget"])
+def test_allocate_invalid_input_exit_2(argv, capsys):
+    assert main(["allocate", *argv]) == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from sensealloc import (
     Dataset,
-    FeasibleSet,
     NoiseModel,
     ResourceVector,
     RngConfig,
@@ -218,13 +217,6 @@ def test_resource_vector_validation():
     assert rv.is_saturated()
 
 
-def test_feasible_set_diameter():
-    fs = FeasibleSet(budget=3.0, weight_cap=4.0)
-    assert fs.diameter == pytest.approx(10.0)
-    assert fs.contains(np.array([0.0, 4.0]), np.array([1.0, 2.0]))
-    assert not fs.contains(np.array([0.0, 4.1]), np.array([1.0, 2.0]))
-
-
 def test_rng_streams_disjoint():
     cfg = RngConfig(123)
     a = cfg.stream("one").normal(size=8)
@@ -232,3 +224,13 @@ def test_rng_streams_disjoint():
     a2 = cfg.stream("one").normal(size=8)
     assert np.array_equal(a, a2)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("alloc, budget", [
+    ([np.nan, 1.0], 2.0),
+    ([1.0, 1.0], np.nan),
+    ([1.0, 1.0], np.inf),
+])
+def test_resource_vector_rejects_non_finite(alloc, budget):
+    with pytest.raises(InfeasibleAllocationError):
+        ResourceVector(np.array(alloc), budget)

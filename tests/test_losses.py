@@ -15,6 +15,7 @@ from sensealloc import (
     square_loss_total,
     verify_convexity,
 )
+from sensealloc.errors import InvalidInputError
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -150,3 +151,9 @@ def test_expected_hinge_total_matches_scalar_form(small_ds, inverse_sqrt):
     margins = small_ds.labels * (small_ds.features @ w + 0.1)
     by_hand = float(np.mean([gaussian_hinge_expected(float(m), sigma) for m in margins]))
     assert expected_hinge_total(small_ds, w, 0.1, r, inverse_sqrt) == pytest.approx(by_hand)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_gaussian_hinge_rejects_non_finite_sigma(sigma):
+    with pytest.raises(InvalidInputError):
+        gaussian_hinge_expected(0.5, sigma)

@@ -20,7 +20,7 @@ from sensealloc import (
     run_unknown,
 )
 from sensealloc.allocation import simplex_projection_raw
-from sensealloc.errors import ConfigError
+from sensealloc.errors import ConfigError, InfeasibleSetError
 
 
 def make_sampler(w_true, x_sd):
@@ -328,3 +328,24 @@ def test_trace_csv_roundtrip(tmp_path, inverse_sqrt):
     assert len(rows) == 11
     got = np.array([float(v) for v in rows[3].split(",")[2:5]])
     np.testing.assert_allclose(got, trace.allocations[2], rtol=1e-15)
+
+
+@pytest.mark.parametrize("field", ["epsilon", "weight_cap", "budget"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_online_config_rejects_non_finite(field, bad):
+    kw = dict(weight_cap=1.0, budget=3.0, horizon=10, epsilon=0.2)
+    kw[field] = bad
+    with pytest.raises(ConfigError):
+        OnlineConfig(**kw)
+
+
+@pytest.mark.parametrize("v", [[1.0, np.nan, 2.0], [np.inf, 0.0]])
+def test_l1_projection_rejects_non_finite(v):
+    with pytest.raises(InfeasibleSetError):
+        project_l1_ball(np.array(v), 1.0)
+
+
+def test_l1_projection_survives_cancellation():
+    # the cumulative sum cancels and hides every support entry
+    out = project_l1_ball(np.array([1e300, -1e300, 2.0]), 3.0)
+    assert np.all(np.isfinite(out)) and np.abs(out).sum() <= 3.0
