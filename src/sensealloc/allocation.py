@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -65,8 +65,6 @@ def _waterfill(weights: np.ndarray, nm: NoiseModel, R: float):
     d = weights.shape[0]
     w2 = weights**2
     active = w2 > 0.0
-    if not np.any(active):
-        raise DegenerateClassifierError("all classifier weights are zero")
     floor, r_cap = nm.bracket(R)
     n_active = int(active.sum())
     if floor * n_active >= R:
@@ -134,6 +132,9 @@ def allocate_waterfill(w, nm: NoiseModel, R: float) -> AllocationResult:
     marginal at the floor is already below the water level stay clamped at
     the floor and are reported outside the funded set.  The bisection runs to
     machine precision; the result reports its stationarity residual.
+    The solve runs on w / max|w|, so that w^2 neither underflows nor
+    overflows; the allocation does not depend on the scale of w, and lam and
+    the residual scale with it.
     """
     weights = _as_weights(w)
     if not 0 < R < math.inf:
@@ -141,8 +142,13 @@ def allocate_waterfill(w, nm: NoiseModel, R: float) -> AllocationResult:
     if isinstance(nm.scale, np.ndarray) and nm.scale.size not in (1, weights.shape[0]):
         raise InvalidNoiseModelError(
             f"{nm.scale.size} scale constants for {weights.shape[0]} features")
-    r, nu = _waterfill(weights, nm, R)
-    return _result_from(weights, nm, R, r, nu)
+    w_max = float(np.max(np.abs(weights), initial=0.0))
+    if w_max == 0.0:
+        raise DegenerateClassifierError("all classifier weights are zero")
+    unit = weights / w_max
+    r, nu = _waterfill(unit, nm, R)
+    res = _result_from(unit, nm, R, r, nu)
+    return replace(res, lam=res.lam * w_max, residual=res.residual * w_max)
 
 
 def allocate_adversarial(w, nm: NoiseModel, R: float) -> AllocationResult:

@@ -3,7 +3,7 @@
 Subcommands: allocate, train-batch, online-unknown, online-noisy, experiment,
 analyze, oracle-check.  Exit codes: 0 success, 2 configuration error or any
 other invalid input (every package error not listed here), 3 data error,
-4 solver divergence, 1 any other failure (including oracle-check mismatches).
+1 any other failure (including oracle-check mismatches).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .allocation import (
 from .analysis import divider_ratio_formula, ratio_sweep
 from .batch import solve_robust_hinge, solve_square_alternating
 from .core import NoiseModel, ResourceVector, RngConfig, generate_synthetic
-from .errors import ConfigError, DataError, SenseAllocError, SolverDivergenceError
+from .errors import ConfigError, DataError, SenseAllocError
 from .experiments import (
     ExperimentConfig,
     emit_results,
@@ -292,9 +292,6 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except SolverDivergenceError as exc:
-        print(f"solver divergence: {exc}", file=sys.stderr)
-        return 4
     except SenseAllocError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2

@@ -41,10 +41,6 @@ class GridTooLargeError(SenseAllocError):
     """A brute-force grid search would exceed its evaluation cap."""
 
 
-class SolverDivergenceError(SenseAllocError):
-    """Iterates blew up; the step size is too aggressive for the instance."""
-
-
 class ConfigError(SenseAllocError):
     """An experiment or CLI configuration is malformed."""
 

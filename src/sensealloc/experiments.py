@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .allocation import allocate_adversarial
-from .batch import _robust_hinge_from, fit_hinge
+from .batch import fit_hinge, solve_robust_hinge
 from .core import (
     Dataset,
     NoiseModel,
@@ -141,6 +141,10 @@ class ExperimentConfig:
             raise ConfigError("budgets must be positive")
         if self.folds < 1:
             raise ConfigError("folds must be >= 1")
+        if not 0.0 <= self.noise_scale < math.inf:
+            raise ConfigError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
+        if self.scale_mode not in ("sd", "variance"):
+            raise ConfigError(f"scale_mode must be sd or variance, got {self.scale_mode!r}")
         if self.kind in ("skin", "breast"):
             if not self.data_path:
                 raise ConfigError(f"{self.kind} experiment needs data_path")
@@ -164,8 +168,11 @@ def default_budgets(kind: str) -> Tuple[float, ...]:
 def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig:
     """Read an INI-style experiment description (sections [experiment],
     [synthetic], [data], [online], [output]) into an ExperimentConfig."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     cfg = ExperimentConfig()
@@ -207,6 +214,11 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig
         ("output", "path", str, "out_path"),
         ("output", "format", str, "out_format"),
     ]
+    mapped = {(section, key) for section, key, _, _ in mapping}
+    unknown = [f"[{section}] {key}" for section in parser.sections()
+               for key in parser.options(section) if (section, key) not in mapped]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     updates = {}
     for section, key, cast, attr in mapping:
         value = take(section, key, cast)
@@ -346,13 +358,14 @@ def _classification_rows(cfg: ExperimentConfig, ds: Dataset, nm: NoiseModel,
         train, test = ds.subset(tr_idx), ds.subset(te_idx)
         if normalize:
             train, test = _normalize_split(train, test)
-        clean_clf = fit_hinge(train, iters=600)
-        # solve_robust_hinge's own warm start (its default inner_iters), shared
-        # by every budget and both regimes since it depends on neither
-        start = fit_hinge(train, iters=400)
+        # the zero-noise fit depends on neither the budget nor the regime: it is
+        # the fixed_clf_optimal classifier and the start of every robust solve
+        # (solve_robust_hinge's own default start, at its default inner_iters)
+        clean_clf = fit_hinge(train, iters=400)
         for R in cfg.budgets:
-            rep_u = _robust_hinge_from(train, nm, R, start, optimize_allocation=False)
-            rep_j = _robust_hinge_from(train, nm, R, start)
+            rep_u = solve_robust_hinge(train, nm, R, optimize_allocation=False,
+                                       start=clean_clf)
+            rep_j = solve_robust_hinge(train, nm, R, start=clean_clf)
             if report_sink is not None:
                 report_sink.append(rep_u)
                 report_sink.append(rep_j)

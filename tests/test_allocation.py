@@ -323,3 +323,59 @@ class TestProjectionRobustness:
     def test_non_finite_budget_rejected(self, R):
         with pytest.raises(InfeasibleSetError):
             project_simplex([1.0, 2.0], R)
+
+
+_GRID = np.geomspace(0.01, 50.0, 400)
+_MODELS = {family: NoiseModel(family) for family in FAMILIES}
+_MODELS["tabulated"] = NoiseModel("tabulated", table=(_GRID, 1.0 / np.sqrt(_GRID)), floor=0.01)
+_weights = st.lists(st.floats(min_value=-5.0, max_value=5.0).filter(lambda v: abs(v) >= 0.1),
+                    min_size=2, max_size=3).map(np.array)
+_exponents = st.floats(min_value=-150.0, max_value=150.0)
+
+
+def _check_scale_invariance(family, w, exponent):
+    """w*c gets the allocation of w and c times its marginal value."""
+    c = 10.0**exponent
+    R = 6.0
+    base = allocate_waterfill(w, _MODELS[family], R)
+    got = allocate_waterfill(w * c, _MODELS[family], R)
+    np.testing.assert_allclose(got.r.alloc, base.r.alloc, rtol=0, atol=1e-12 * R)
+    assert got.lam == pytest.approx(base.lam * c, rel=1e-12)
+
+
+def _check_permutation_equivariance(family, w, perm):
+    R = 6.0
+    base = allocate_waterfill(w, _MODELS[family], R)
+    got = allocate_waterfill(w[perm], _MODELS[family], R)
+    np.testing.assert_allclose(got.r.alloc, base.r.alloc[perm], rtol=0, atol=1e-12 * R)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("exponent", [-160, -150, 150, 160])
+def test_waterfill_extreme_weight_scales(family, exponent):
+    # beyond 1e+-154 the squared weights underflow or overflow
+    _check_scale_invariance(family, np.array([1.0, 7.0, 1.0]), exponent)
+
+
+@given(st.sampled_from(FAMILIES), _weights, _exponents)
+@settings(max_examples=150, deadline=None)
+def test_waterfill_scale_invariance(family, w, exponent):
+    _check_scale_invariance(family, w, exponent)
+
+
+@given(st.sampled_from(FAMILIES), _weights, st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_waterfill_permutation_equivariance(family, w, rnd):
+    _check_permutation_equivariance(family, w, np.array(rnd.sample(range(w.size), w.size)))
+
+
+@given(_weights, _exponents)
+@settings(max_examples=8, deadline=None)
+def test_tabulated_waterfill_scale_invariance(w, exponent):
+    _check_scale_invariance("tabulated", w, exponent)
+
+
+@given(_weights, st.randoms(use_true_random=False))
+@settings(max_examples=8, deadline=None)
+def test_tabulated_waterfill_permutation_equivariance(w, rnd):
+    _check_permutation_equivariance("tabulated", w, np.array(rnd.sample(range(w.size), w.size)))

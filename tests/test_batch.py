@@ -5,6 +5,7 @@ import pytest
 
 from sensealloc import (
     Dataset,
+    LinearClassifier,
     NoiseModel,
     ResourceVector,
     RngConfig,
@@ -17,8 +18,8 @@ from sensealloc import (
     solve_square_alternating,
     square_loss_total,
 )
-from sensealloc.batch import _hinge_problem, _robust_hinge_from
-from sensealloc.errors import RankDeficiencyError, SolverDivergenceError
+from sensealloc.batch import _hinge_problem
+from sensealloc.errors import InvalidInputError, RankDeficiencyError
 
 
 @pytest.fixture
@@ -159,12 +160,6 @@ class TestRobustHinge:
                     best = min(best, support + float(np.sum(np.maximum(0, 1 - margins))))
         assert abs(rep.objective_trace[-1] - best) <= 0.01 * best
 
-    def test_divergence_error_for_bad_schedule(self, inverse_sqrt):
-        ds = generate_synthetic(7.0, 200, rng=RngConfig(9))
-        with pytest.raises(SolverDivergenceError):
-            solve_robust_hinge(ds, inverse_sqrt, 9.0, step_schedule=1e6,
-                               inner_iters=50, max_iter=3)
-
     def test_separable_warning(self, inverse_sqrt):
         X = np.array([[-3.0, 0.0], [-2.5, 0.1], [2.5, -0.1], [3.0, 0.0]])
         y = np.array([-1.0, -1.0, 1.0, 1.0])
@@ -185,12 +180,18 @@ def test_shared_start_matches_solve_robust_hinge(inverse_sqrt, optimize_allocati
     kw = dict(inner_iters=150, max_iter=6, optimize_allocation=optimize_allocation)
     start = fit_hinge(ds, iters=150)
     for R in (1.5, 9.0):  # one start serves every budget
-        shared = _robust_hinge_from(ds, inverse_sqrt, R, start, **kw)
+        shared = solve_robust_hinge(ds, inverse_sqrt, R, start=start, **kw)
         alone = solve_robust_hinge(ds, inverse_sqrt, R, **kw)
         assert np.array_equal(shared.classifier.weights, alone.classifier.weights)
         assert shared.classifier.bias == alone.classifier.bias
         assert np.array_equal(shared.resources.alloc, alone.resources.alloc)
         assert shared.objective_trace == alone.objective_trace
+
+
+def test_start_of_wrong_dimension_is_rejected(inverse_sqrt):
+    ds = generate_synthetic(7.0, 100, rng=RngConfig(12))
+    with pytest.raises(InvalidInputError, match="2 weights for 3 features"):
+        solve_robust_hinge(ds, inverse_sqrt, 9.0, start=LinearClassifier(np.ones(2), 0.0))
 
 
 def test_hinge_subgradient_matches_finite_differences_and_masked_sum():

@@ -79,6 +79,22 @@ def test_experiment_bad_config_exit_2(tmp_path):
     assert main(["experiment", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("line", [
+    "scale_mode = bogus\n",
+    "noise_scale = -1\n",
+    "noise_scale = nan\n",
+    "train_size = 100\n",
+    "[experiment]\n",
+], ids=["bad-scale-mode", "negative-noise-scale", "nan-noise-scale", "unmapped-key",
+        "duplicate-section"])
+def test_experiment_invalid_config_exit_2(tmp_path, capsys, line):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[experiment]\nkind = synthetic\nbudgets = 2 8\nfolds = 2\n" + line
+                   + "[synthetic]\nn = 400\n")
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_experiment_malformed_data_exit_3(tmp_path):
     data = tmp_path / "skin.txt"
     data.write_text("1\t2\n")

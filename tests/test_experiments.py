@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -216,6 +217,19 @@ class TestConfigFile:
     def test_negative_budget_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(kind="synthetic", budgets=(1.0, -2.0)).validate()
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "experiment.ini"
+        path.write_text(block)
+        cfg = load_config(str(path))
+        assert cfg.kind == "synthetic"
+        assert cfg.budgets == (1.5, 2.6, 4.4, 7.6, 13.0, 22.0, 40.0)
+        assert cfg.noise_scale == 0.3333333 and cfg.scale_mode == "sd"
+        assert cfg.train_fraction == 0.6667
+        assert cfg.data_path == "data/Skin_NonSkin.txt"
+        assert (cfg.out_path, cfg.out_format) == ("results.csv", "csv")
 
 
 @pytest.fixture(scope="module")
