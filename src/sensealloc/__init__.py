@@ -22,6 +22,7 @@ from .allocation import (
     allocate_inverse_sqrt,
     allocate_quantization,
     allocate_waterfill,
+    project_l1_ball,
     project_simplex,
     refine_integer_bits,
 )
@@ -45,7 +46,6 @@ from .online import (
     RegretTrace,
     SampleOracle,
     best_fixed_square_loss_l1,
-    project_l1_ball,
     project_l2_ball,
     regret_bound_noisy,
     regret_bound_unknown,

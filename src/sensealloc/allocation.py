@@ -243,18 +243,24 @@ def refine_integer_bits(ar: AllocationResult, w, R: float) -> ResourceVector:
     return ResourceVector(np.asarray(best, dtype=float), R)
 
 
+def _threshold(v: np.ndarray, target: float):
+    """Sort-and-threshold kernel shared by the simplex and L1 projections
+    (Duchi et al. 2008): theta with sum max(v_i - theta, 0) = target, and the
+    smallest entry of v in the support.  The largest entry is always in the
+    support, since cancellation in the cumulative sum can hide it."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    support = u - (css - target) / np.arange(1, v.shape[0] + 1) > 0
+    support[0] = True
+    rho = int(np.nonzero(support)[0].max()) + 1
+    return (css[rho - 1] - target) / rho, u[rho - 1]
+
+
 def simplex_projection_raw(v: np.ndarray, R: float, floor: float = 0.0) -> np.ndarray:
     """sort-and-threshold simplex projection on a bare array (hot-loop form
     of project_simplex, identical math)."""
-    d = v.shape[0]
     shifted = v - floor
-    target = R - d * floor
-    u = np.sort(shifted)[::-1]
-    css = np.cumsum(u)
-    support = u - (css - target) / np.arange(1, d + 1) > 0
-    support[0] = True  # the largest entry is always in; cancellation can hide it
-    rho = int(np.nonzero(support)[0].max()) + 1
-    theta = (css[rho - 1] - target) / rho
+    theta, smallest = _threshold(shifted, R - v.shape[0] * floor)
     out = np.maximum(shifted - theta, 0.0) + floor
     gap = R - float(out.sum())
     if gap != 0.0:
@@ -262,9 +268,28 @@ def simplex_projection_raw(v: np.ndarray, R: float, floor: float = 0.0) -> np.nd
         # that can absorb it without crossing the floor, else over the support
         cand = out >= floor + abs(gap)
         if not np.any(cand):
-            cand = shifted >= u[rho - 1]
+            cand = shifted >= smallest
         out[cand] += gap / int(cand.sum())
     return out
+
+
+def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
+    """Exact Euclidean projection onto {u : sum |u_i| <= radius} by sorted
+    soft-thresholding of the magnitudes."""
+    v = np.asarray(v, dtype=float)
+    mags = np.abs(v)
+    total = mags.sum()
+    if total <= radius:
+        return v.copy()
+    if not (math.isfinite(total) and radius >= 0):
+        raise InfeasibleSetError(f"cannot project |v|_1 = {total} onto radius {radius}")
+    theta, smallest = _threshold(mags, radius)
+    if theta >= smallest:
+        # only rounding gets here (theta = u_1 - radius rounds to u_1): the
+        # support entries are equal to working precision, so share the radius
+        support = mags >= smallest
+        return np.where(support, np.sign(v) * (radius / int(support.sum())), 0.0)
+    return np.sign(v) * np.maximum(mags - theta, 0.0)
 
 
 def project_simplex(v, R: float, floor: float = 0.0) -> ResourceVector:

@@ -22,6 +22,7 @@ from .allocation import (
     allocate_inverse_sqrt,
     allocate_quantization,
     allocate_waterfill,
+    project_l1_ball,
     project_simplex,
 )
 from .analysis import divider_ratio_formula, ratio_sweep
@@ -43,7 +44,7 @@ from .oracles import (
     oracle_project_simplex,
 )
 from .losses import square_loss_total
-from .online import project_l1_ball, project_l2_ball
+from .online import project_l2_ball
 
 
 def _parse_weights(raw: str) -> np.ndarray:

@@ -57,13 +57,13 @@ class Dataset:
         X = np.atleast_2d(np.asarray(self.features, dtype=float))
         y = np.asarray(self.labels, dtype=float).ravel()
         if X.shape[0] < 1 or X.shape[1] < 1:
-            raise ValueError("dataset needs at least one sample and one feature")
+            raise InvalidInputError("dataset needs at least one sample and one feature")
         if X.shape[0] != y.shape[0]:
-            raise ValueError(f"feature rows {X.shape[0]} != label count {y.shape[0]}")
+            raise InvalidInputError(f"feature rows {X.shape[0]} != label count {y.shape[0]}")
         if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
-            raise ValueError("dataset contains NaN or Inf entries")
+            raise InvalidInputError("dataset contains NaN or Inf entries")
         if self.feature_names is not None and len(self.feature_names) != X.shape[1]:
-            raise ValueError("feature_names length mismatch")
+            raise InvalidInputError("feature_names length mismatch")
         object.__setattr__(self, "features", _frozen_array(X))
         object.__setattr__(self, "labels", _frozen_array(y))
 
@@ -93,7 +93,7 @@ class LinearClassifier:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).ravel()
         if not np.all(np.isfinite(w)) or not np.isfinite(self.bias):
-            raise ValueError("classifier has non-finite entries")
+            raise InvalidInputError("classifier has non-finite entries")
         object.__setattr__(self, "weights", _frozen_array(w))
         object.__setattr__(self, "bias", float(self.bias))
 
@@ -369,7 +369,7 @@ def generate_synthetic(a: float, n: int, label_noise_sd: float = 0.05,
     so the classes are not linearly separable.
     """
     if n < 1:
-        raise ValueError(f"need n >= 1 samples, got {n}")
+        raise InvalidInputError(f"need n >= 1 samples, got {n}")
     rng = rng if rng is not None else RngConfig(0)
     gen = rng.stream("synthetic-data")
     pts = gen.uniform(-0.5, 0.5, size=(n, 3))
@@ -388,7 +388,7 @@ def inject_noise(ds: Dataset, r: ResourceVector, nm: NoiseModel, scale: float = 
     "variance" reads scale * sigma_j(r_j) as a variance instead.
     """
     if scale_mode not in ("sd", "variance"):
-        raise ValueError("scale_mode must be 'sd' or 'variance'")
+        raise InvalidInputError("scale_mode must be 'sd' or 'variance'")
     clamped = np.maximum(r.alloc, nm.floor_for(r.budget))
     sigma = nm.sigma(clamped)
     sd = scale * sigma if scale_mode == "sd" else np.sqrt(scale * sigma)

@@ -314,8 +314,9 @@ def _fold_splits(cfg: ExperimentConfig, M: int) -> List[Tuple[np.ndarray, np.nda
 
     The benchmark protocol trains on a small subset and tests on the rest, so
     the folds partition the pool into disjoint train blocks (capped at
-    train_size) whose complements serve as test sets.  The breast benchmark
-    instead repeats seeded 2/3-1/3 splits, matching its original protocol.
+    train_size) whose complements serve as test sets, so it needs
+    2 <= folds <= M.  The breast benchmark instead repeats seeded 2/3-1/3
+    splits, matching its original protocol.
     """
     gen = RngConfig(cfg.seed).stream("fold-permutation")
     if cfg.kind == "breast":
@@ -325,6 +326,8 @@ def _fold_splits(cfg: ExperimentConfig, M: int) -> List[Tuple[np.ndarray, np.nda
             cut = int(round(cfg.train_fraction * M))
             splits.append((perm[:cut], perm[cut:]))
         return splits
+    if not 2 <= cfg.folds <= M:
+        raise ConfigError(f"folds must be between 2 and the sample count {M}, got {cfg.folds}")
     perm = gen.permutation(M)
     blocks = np.array_split(perm, cfg.folds)
     splits = []
@@ -349,8 +352,7 @@ def _load_dataset(cfg: ExperimentConfig) -> Dataset:
     return ds
 
 
-def _classification_rows(cfg: ExperimentConfig, ds: Dataset, nm: NoiseModel,
-                         report_sink: Optional[list] = None) -> ResultTable:
+def _classification_rows(cfg: ExperimentConfig, ds: Dataset, nm: NoiseModel) -> ResultTable:
     splits = _fold_splits(cfg, ds.n_samples)
     normalize = cfg.kind in ("skin", "breast")
     per_key: dict = {}
@@ -366,9 +368,6 @@ def _classification_rows(cfg: ExperimentConfig, ds: Dataset, nm: NoiseModel,
             rep_u = solve_robust_hinge(train, nm, R, optimize_allocation=False,
                                        start=clean_clf)
             rep_j = solve_robust_hinge(train, nm, R, start=clean_clf)
-            if report_sink is not None:
-                report_sink.append(rep_u)
-                report_sink.append(rep_j)
             alloc_uniform = ResourceVector.uniform(R, ds.n_features)
             alloc_joint = rep_j.resources
             alloc_for_clean = allocate_adversarial(clean_clf.weights, nm, R).r
@@ -433,12 +432,13 @@ def _online_rows(cfg: ExperimentConfig) -> ResultTable:
     return table
 
 
-def run_experiment(cfg: ExperimentConfig,
-                   report_sink: Optional[list] = None) -> ResultTable:
+def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Execute one configured benchmark and return its result table.
 
-    report_sink, when given, collects every SolveReport produced along the
-    way (used by the invariant checks on objective traces).
+    Classification kinds give one row per (budget, rule) with the mean and sd
+    of the test error over the folds; online kinds give the mean and sd of
+    the last tenth of each run's losses; the sweep gives one matched-error
+    budget ratio per slope a.  The same config and seed give the same table.
     """
     cfg.validate()
     if cfg.kind in ("online-unknown", "online-noisy"):
@@ -449,7 +449,7 @@ def run_experiment(cfg: ExperimentConfig,
         for a in cfg.sweep_a:
             sub = replace(cfg, kind="synthetic", a=float(a))
             ds = _load_dataset(sub)
-            rows = _classification_rows(sub, ds, nm, report_sink)
+            rows = _classification_rows(sub, ds, nm)
             try:
                 ratio = resource_ratio(rows, cfg.target_error)
                 flag = ""
@@ -462,7 +462,7 @@ def run_experiment(cfg: ExperimentConfig,
             ))
         return table
     ds = _load_dataset(cfg)
-    return _classification_rows(cfg, ds, nm, report_sink)
+    return _classification_rows(cfg, ds, nm)
 
 
 def matched_error_budget(table: ResultTable, rule: str, target: float) -> float:

@@ -15,8 +15,9 @@ Two regimes:
   follows a plug-in rule of the current weights (uniform, or half uniform
   plus half weight-proportional).  The step is the constant B_W/sqrt(T).
 
-Both record a per-round trace against which the closed-form regret bounds
-can be checked.
+Both run one round loop (:func:`_run`) that measures at the current
+allocation and records a per-round trace, against which the closed-form
+regret bounds can be checked; each runner supplies only its update step.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .allocation import simplex_projection_raw
+from .allocation import project_l1_ball, simplex_projection_raw
 from .core import NoiseModel, RngConfig
-from .errors import ConfigError, InfeasibleSetError
+from .errors import ConfigError
 
 AllocRule = Union[str, Callable[[np.ndarray], np.ndarray]]
 
@@ -79,8 +80,6 @@ class RegretTrace:
     weight_norms: np.ndarray
     allocations: np.ndarray
     grad_norms: np.ndarray
-    stream_x: Optional[np.ndarray] = None
-    stream_y: Optional[np.ndarray] = None
 
     @property
     def horizon(self) -> int:
@@ -120,7 +119,7 @@ class SampleOracle:
 
     def __init__(self, clean_sampler: Callable[[np.random.Generator], Tuple[np.ndarray, float]],
                  nm: NoiseModel, budget: float, dim: int, mode: str = "shared",
-                 rng: Optional[RngConfig] = None, record_clean: bool = False):
+                 rng: Optional[RngConfig] = None):
         if mode not in ("shared", "fresh", "correlated"):
             raise ConfigError(f"unknown oracle mode {mode!r}")
         self._clean = clean_sampler
@@ -132,22 +131,16 @@ class SampleOracle:
         self._x = None
         self._y = None
         self._z = None
-        self._record = record_clean
-        self._clean_log: list = []
 
     def new_round(self) -> None:
         if self.mode != "fresh":
             self._x, self._y = self._clean(self._gen)
-            if self._record:
-                self._clean_log.append((self._x, self._y))
         if self.mode == "correlated":
             self._z = self._gen.standard_normal(self._x.shape[0])
 
     def measure(self, r: np.ndarray) -> Tuple[np.ndarray, float]:
         if self.mode == "fresh":
             x, y = self._clean(self._gen)
-            if self._record:
-                self._clean_log.append((x, y))
         else:
             x, y = self._x, self._y
         sd = self._nm.sigma(np.maximum(r, self._nm.floor_for(self._budget)))
@@ -156,11 +149,6 @@ class SampleOracle:
         else:
             delta = self._gen.standard_normal(x.shape[0]) * sd
         return x + delta, float(y)
-
-    def clean_history(self) -> Tuple[np.ndarray, np.ndarray]:
-        xs = np.array([x for x, _ in self._clean_log])
-        ys = np.array([y for _, y in self._clean_log])
-        return xs, ys
 
 
 def project_l2_ball(v: np.ndarray, radius: float) -> np.ndarray:
@@ -172,24 +160,28 @@ def project_l2_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return v * (radius / norm)
 
 
-def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Exact Euclidean projection onto {u : sum |u_i| <= radius} by sorted
-    soft-thresholding of the magnitudes."""
-    v = np.asarray(v, dtype=float)
-    mags = np.abs(v)
-    total = mags.sum()
-    if total <= radius:
-        return v.copy()
-    if not (math.isfinite(total) and radius >= 0):
-        raise InfeasibleSetError(f"cannot project |v|_1 = {total} onto radius {radius}")
-    u = np.sort(mags)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, v.size + 1)
-    support = u - (css - radius) / j > 0
-    support[0] = True  # the largest entry is always in; cancellation can hide it
-    rho = int(np.nonzero(support)[0].max()) + 1
-    theta = (css[rho - 1] - radius) / rho
-    return np.sign(v) * np.maximum(mags - theta, 0.0)
+def _run(oracle: SampleOracle, horizon: int, r0: np.ndarray,
+         step: Callable[..., Tuple[np.ndarray, np.ndarray, float]]) -> RegretTrace:
+    """The round loop of both runners.  Each round draws a sample, measures it
+    at the current allocation r, records the squared error err of the
+    pre-update weights, their norm and r, then calls
+    step(t, w, r, x, err) -> (w, r, grad_norm) for the next iterates."""
+    d = oracle.dim
+    w = np.zeros(d)
+    r = r0
+    losses = np.empty(horizon)
+    w_norms = np.empty(horizon)
+    grad_norms = np.empty(horizon)
+    allocations = np.empty((horizon, d))
+    for t in range(1, horizon + 1):
+        oracle.new_round()
+        x, y = oracle.measure(r)
+        err = float(w @ x - y)
+        losses[t - 1] = err * err
+        w_norms[t - 1] = float(np.linalg.norm(w))
+        allocations[t - 1] = r
+        w, r, grad_norms[t - 1] = step(t, w, r, x, err)
+    return RegretTrace(losses, w_norms, allocations, grad_norms)
 
 
 def run_unknown(oracle: SampleOracle, cfg: OnlineConfig) -> RegretTrace:
@@ -202,34 +194,24 @@ def run_unknown(oracle: SampleOracle, cfg: OnlineConfig) -> RegretTrace:
     recorded loss is the squared prediction error of the pre-update weights
     on the first (budget-conformant) measurement.
     """
-    T = cfg.horizon
     R = cfg.budget
     eps = cfg.epsilon
+    cap = cfg.weight_cap
     floor = cfg.floor()
     d = oracle.dim
     if R <= d * floor:
         raise ConfigError(f"budget {R} cannot cover {d} x floor {floor}")
-    w = np.zeros(d)
-    r = np.full(d, R / d)
-    losses = np.empty(T)
-    w_norms = np.empty(T)
-    grad_norms = np.empty(T)
-    allocations = np.empty((T, d))
-    for t in range(1, T + 1):
-        oracle.new_round()
-        x1, y = oracle.measure(r)
+
+    def step(t, w, r, x1, err):
         x2, _ = oracle.measure(r + eps)
         eta = 1.0 / math.sqrt(t)
-        err = float(w @ x1 - y)
-        losses[t - 1] = err * err
-        w_norms[t - 1] = float(np.linalg.norm(w))
-        allocations[t - 1] = r
         g_w = err * x1
         g_r = (w * w) * (x2 * x2 - x1 * x1) / eps
-        grad_norms[t - 1] = math.sqrt(float(g_w @ g_w) + float(g_r @ g_r))
-        w = project_l2_ball(w - eta * g_w, cfg.weight_cap)
-        r = simplex_projection_raw(r - eta * g_r, R, floor)
-    return RegretTrace(losses, w_norms, allocations, grad_norms)
+        grad_norm = math.sqrt(float(g_w @ g_w) + float(g_r @ g_r))
+        return (project_l2_ball(w - eta * g_w, cap),
+                simplex_projection_raw(r - eta * g_r, R, floor), grad_norm)
+
+    return _run(oracle, cfg.horizon, np.full(d, R / d), step)
 
 
 def regret_bound_unknown(cfg: OnlineConfig, T: int, variant: str = "fresh") -> float:
@@ -278,7 +260,7 @@ def _resolve_rule(rule: AllocRule, R: float, d: int) -> Callable[[np.ndarray], n
 
 
 def run_noisy(oracle: SampleOracle, cfg: OnlineConfig, alloc_rule: AllocRule,
-              nm: NoiseModel, record_stream: bool = False) -> RegretTrace:
+              nm: NoiseModel) -> RegretTrace:
     """Projected SGD on noisy measurements with a known noise covariance.
 
     Gradient 2(w.x - y)x - Sigma(r)w, L1-ball projection of the weights, and
@@ -286,39 +268,19 @@ def run_noisy(oracle: SampleOracle, cfg: OnlineConfig, alloc_rule: AllocRule,
     constant B_W/sqrt(T).  Losses are squared errors on the noisy
     measurements themselves.
     """
-    T = cfg.horizon
     R = cfg.budget
-    eta = cfg.weight_cap / math.sqrt(T)
+    cap = cfg.weight_cap
+    eta = cap / math.sqrt(cfg.horizon)
+    floor = nm.floor_for(R)
     d = oracle.dim
-    w = np.zeros(d)
-    r = np.full(d, R / d)
-    losses = np.empty(T)
-    w_norms = np.empty(T)
-    grad_norms = np.empty(T)
-    allocations = np.empty((T, d))
-    xs = [] if record_stream else None
-    ys = [] if record_stream else None
     rule = _resolve_rule(alloc_rule, R, d)
-    for t in range(1, T + 1):
-        oracle.new_round()
-        x, y = oracle.measure(r)
-        if record_stream:
-            xs.append(x)
-            ys.append(y)
-        err = float(w @ x - y)
-        losses[t - 1] = err * err
-        w_norms[t - 1] = float(np.linalg.norm(w))
-        allocations[t - 1] = r
-        sigma_sq = nm.sigma_sq(np.maximum(r, nm.floor_for(R)))
-        grad = 2.0 * err * x - sigma_sq * w
-        grad_norms[t - 1] = float(np.linalg.norm(grad))
-        w = project_l1_ball(w - eta * grad, cfg.weight_cap)
-        r = rule(w)
-    trace = RegretTrace(losses, w_norms, allocations, grad_norms)
-    if record_stream:
-        trace.stream_x = np.array(xs)
-        trace.stream_y = np.array(ys)
-    return trace
+
+    def step(t, w, r, x, err):
+        grad = 2.0 * err * x - nm.sigma_sq(np.maximum(r, floor)) * w
+        w = project_l1_ball(w - eta * grad, cap)
+        return w, rule(w), float(np.linalg.norm(grad))
+
+    return _run(oracle, cfg.horizon, np.full(d, R / d), step)
 
 
 def regret_bound_noisy(cfg: OnlineConfig, d: int, bx4: float,

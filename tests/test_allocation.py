@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sensealloc import (
+    Dataset,
     NoiseModel,
     allocate_adversarial,
     allocate_inverse,
@@ -12,6 +13,7 @@ from sensealloc import (
     grid_alloc_search,
     oracle_integer_bits,
     oracle_project_simplex,
+    project_l1_ball,
     project_simplex,
     refine_integer_bits,
     sigma_aggregate,
@@ -22,6 +24,7 @@ from sensealloc.errors import (
     InfeasibleSetError,
     InvalidInputError,
     InvalidNoiseModelError,
+    SenseAllocError,
 )
 
 FAMILIES = ["inverse", "inverse_sqrt", "quantization"]
@@ -379,3 +382,46 @@ def test_tabulated_waterfill_scale_invariance(w, exponent):
 @settings(max_examples=8, deadline=None)
 def test_tabulated_waterfill_permutation_equivariance(w, rnd):
     _check_permutation_equivariance("tabulated", w, np.array(rnd.sample(range(w.size), w.size)))
+
+
+_PROJECTIONS = {
+    "simplex": lambda v, R: project_simplex(v, R).alloc,
+    "l1": project_l1_ball,
+}
+_points = st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=6).map(np.array)
+
+
+@given(st.sampled_from(sorted(_PROJECTIONS)), _points, st.floats(min_value=0.1, max_value=10.0),
+       _exponents)
+@settings(max_examples=300, deadline=None)
+def test_projection_scale_equivariance_and_idempotence(kind, v, R, exponent):
+    """project(c v, c R) = c project(v, R), projecting twice changes nothing,
+    and the result lies in the ball, for c = 1e-150 ... 1e150."""
+    project = _PROJECTIONS[kind]
+    c = 10.0**exponent
+    tol = 1e-12 * R * c
+    got = project(v * c, R * c)
+    np.testing.assert_allclose(got, project(v, R) * c, rtol=0, atol=tol)
+    np.testing.assert_allclose(project(got, R * c), got, rtol=0, atol=tol)
+    assert np.abs(got).sum() <= R * c * (1 + 1e-12)
+
+
+_ENTRY_POINTS = {
+    "project_simplex": lambda v: project_simplex(v, 3.0),
+    "project_l1_ball": lambda v: project_l1_ball(v, 1.0),
+    "allocate_waterfill": lambda v: allocate_waterfill(v, NoiseModel("inverse_sqrt"), 3.0),
+    "NoiseModel.scale": lambda v: NoiseModel("inverse", scale=np.abs(v) + 1.0),
+    "Dataset.features": lambda v: Dataset(v.reshape(-1, 1), np.ones(v.size)),
+    "Dataset.labels": lambda v: Dataset(np.ones((v.size, 1)), v),
+}
+
+
+@given(st.sampled_from(sorted(_ENTRY_POINTS)),
+       st.lists(st.floats(min_value=0.5, max_value=5.0), min_size=1, max_size=4),
+       st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(min_value=0))
+@settings(max_examples=100, deadline=None)
+def test_non_finite_entries_rejected(entry, values, bad, pos):
+    v = np.array(values)
+    v[pos % v.size] = bad
+    with pytest.raises(SenseAllocError):
+        _ENTRY_POINTS[entry](v)

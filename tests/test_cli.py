@@ -95,6 +95,21 @@ def test_experiment_invalid_config_exit_2(tmp_path, capsys, line):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("folds", [1, 500])
+def test_experiment_fold_count_exit_2(tmp_path, capsys, folds):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[experiment]\nkind = synthetic\nbudgets = 2 8\nfolds = {folds}\n"
+                   "[synthetic]\nn = 400\n")
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+def test_train_batch_empty_sample_exit_2(capsys):
+    assert main(["train-batch", "--n", "0"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_experiment_malformed_data_exit_3(tmp_path):
     data = tmp_path / "skin.txt"
     data.write_text("1\t2\n")

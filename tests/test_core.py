@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sensealloc import (
     Dataset,
+    LinearClassifier,
     NoiseModel,
     ResourceVector,
     RngConfig,
@@ -14,7 +15,11 @@ from sensealloc import (
     sigma_aggregate,
     synthetic_label,
 )
-from sensealloc.errors import InfeasibleAllocationError, InvalidNoiseModelError
+from sensealloc.errors import (
+    InfeasibleAllocationError,
+    InvalidInputError,
+    InvalidNoiseModelError,
+)
 
 
 def test_sigma_aggregate_zero_classifier(inverse_sqrt):
@@ -204,6 +209,23 @@ def test_dataset_validation():
     ds = Dataset(np.ones((2, 2)), np.array([1.0, -1.0]))
     assert ds.is_classification()
     assert not Dataset(np.ones((2, 2)), np.array([0.5, 1.0])).is_classification()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Dataset(np.ones((0, 2)), np.ones(0)),
+    lambda: Dataset(np.ones((3, 2)), np.ones(2)),
+    lambda: Dataset(np.array([[np.inf, 1.0]]), np.array([1.0])),
+    lambda: Dataset(np.ones((2, 2)), np.ones(2), feature_names=("x",)),
+    lambda: LinearClassifier(np.array([1.0, np.nan])),
+    lambda: LinearClassifier(np.ones(2), bias=np.inf),
+    lambda: generate_synthetic(7.0, 0),
+    lambda: inject_noise(Dataset(np.ones((2, 1)), np.ones(2)), ResourceVector.uniform(1.0, 1),
+                         NoiseModel("inverse"), scale_mode="stdev"),
+], ids=["empty", "label-count", "non-finite", "names", "weights", "bias", "synthetic-n",
+        "scale-mode"])
+def test_core_types_raise_invalid_input(build):
+    with pytest.raises(InvalidInputError):
+        build()
 
 
 def test_resource_vector_validation():

@@ -18,6 +18,7 @@ from sensealloc import (
     resource_ratio,
     run_experiment,
 )
+from sensealloc import experiments
 from sensealloc.experiments import RESULT_JSON_SCHEMA, _fold_splits, load_config
 from sensealloc.errors import ConfigError, DataError
 
@@ -259,9 +260,16 @@ class TestSyntheticExperiment:
             errs = [row.mean_error for row in table.for_rule(rule)]
             assert errs[0] > errs[-1]
 
-    def test_report_sink_collects_monotone_traces(self, tiny_cfg):
+    def test_report_sink_collects_monotone_traces(self, tiny_cfg, monkeypatch):
         sink = []
-        run_experiment(tiny_cfg, report_sink=sink)
+        solve = experiments.solve_robust_hinge
+
+        def logged(*args, **kwargs):
+            sink.append(solve(*args, **kwargs))
+            return sink[-1]
+
+        monkeypatch.setattr(experiments, "solve_robust_hinge", logged)
+        run_experiment(tiny_cfg)
         assert len(sink) == 2 * 2 * 3  # two regimes, two folds, three budgets
         for rep in sink:
             trace = np.array(rep.objective_trace)
