@@ -4,12 +4,15 @@ Minimizing the aggregate disturbance sqrt(sum_i w_i^2 sigma_i^2(r_i)) over the
 budget simplex is a separable convex problem.  At the optimum every funded
 feature shares a common marginal value -d sigma/d r_i = lambda, and features
 whose marginal at the floor already falls below lambda receive nothing.  The
-solver locates that common level by bisection; each step asks the noise
-model for the resource at which every feature's marginal reaches the level
-(:meth:`NoiseModel.marginal_inverse`) and clamps it to the model's
-:meth:`NoiseModel.bracket`, so no noise formula lives in this module.
-The closed forms for the inverse and inverse-sqrt families and the bit
-budget are provided separately and double as cheap cross-checks.
+solver locates that common level by a root search on its logarithm; each step
+asks the noise model for the resource at which every feature's marginal
+reaches the level (:meth:`NoiseModel.marginal_inverse`, exact for every
+family) and clamps it to the model's :meth:`NoiseModel.bracket`, so no noise
+formula lives in this module.  A tabulated model's marginal jumps at its
+knots, where "reaches the level" means the level lies in the jump; the
+stationarity residual is measured against that subdifferential.  The closed
+forms for the inverse and inverse-sqrt families and the bit budget are
+provided separately and double as cheap cross-checks.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ def _invert_marginal(nm: NoiseModel, w2: np.ndarray, active: np.ndarray,
 
 
 def _waterfill(weights: np.ndarray, nm: NoiseModel, R: float):
-    """Core bisection: returns (allocation, nu) with nu the common marginal
+    """Core root search: returns (allocation, nu) with nu the common marginal
     of the variance objective sum w_i^2 sigma_i^2."""
     d = weights.shape[0]
     w2 = weights**2
@@ -73,7 +76,7 @@ def _waterfill(weights: np.ndarray, nm: NoiseModel, R: float):
         )
 
     g_floor = _neg_dvar(nm, w2, np.full(d, floor))
-    g_at_R = _neg_dvar(nm, w2, np.full(d, min(float(R), r_cap)))
+    g_at_R = -w2 * nm.dsigma_sq_sides(np.full(d, min(float(R), r_cap)))[1]  # from below
     nu_hi = float(np.max(g_floor[active])) * 2.0 + 1e-300
     nu_lo = max(float(np.min(g_at_R[active])) * 0.5, 1e-300)
 
@@ -98,7 +101,8 @@ def _waterfill(weights: np.ndarray, nm: NoiseModel, R: float):
     nu = math.exp(log_nu)
     r = _invert_marginal(nm, w2, active, nu, floor, r_cap)
     funded = active & (r > floor * (1.0 + 1e-9))
-    pool = funded if np.any(funded) else active
+    free = funded & ~nm.at_knot(r)  # features pinned at a knot stay on it
+    pool = next(mask for mask in (free, funded, active) if np.any(mask))
     r[pool] += (R - r.sum()) / pool.sum()  # close the residual budget gap exactly
     return r, nu
 
@@ -112,9 +116,14 @@ def _result_from(weights: np.ndarray, nm: NoiseModel, R: float, r: np.ndarray,
     active = weights != 0.0
     lam = nu / (2.0 * agg) if agg > 0 else 0.0
     funded_mask = active & (r > floor * (1.0 + 1e-6))
-    marginals = _neg_dvar(nm, weights**2, clamped) / (2.0 * agg) if agg > 0 else np.zeros_like(r)
-    residual = max(float(np.max(np.abs(marginals[funded_mask] - lam), initial=0.0)),
-                   float(np.max(marginals[active & ~funded_mask] - lam, initial=0.0)))
+    # funded: distance of lam from the subdifferential [g(r+), g(r-)], which
+    # is |g - lam| for the smooth families; at the floor: g(r+) - lam > 0
+    marginal = lambda dvar: -weights**2 * dvar / (2.0 * agg) if agg > 0 else np.zeros_like(r)
+    right, left = nm.dsigma_sq_sides(clamped)
+    g = marginal(right)
+    dist = np.abs(g - lam) if left is right else np.maximum(g - lam, lam - marginal(left))
+    residual = max(float(np.max(dist[funded_mask], initial=0.0)),
+                   float(np.max(g[active & ~funded_mask] - lam, initial=0.0)))
     return AllocationResult(
         r=rv,
         lam=lam,
@@ -126,11 +135,11 @@ def _result_from(weights: np.ndarray, nm: NoiseModel, R: float, r: np.ndarray,
 def allocate_waterfill(w, nm: NoiseModel, R: float) -> AllocationResult:
     """Optimal allocation for a fixed classifier under a stochastic
     disturbance: minimizes sqrt(sum w_i^2 sigma_i^2(r_i)) over the budget
-    simplex by bisection on the common marginal value.
+    simplex by a root search on the common marginal value.
 
     Features with w_i = 0 receive nothing; features with nonzero weight whose
     marginal at the floor is already below the water level stay clamped at
-    the floor and are reported outside the funded set.  The bisection runs to
+    the floor and are reported outside the funded set.  The search runs to
     machine precision; the result reports its stationarity residual.
     The solve runs on w / max|w|, so that w^2 neither underflows nor
     overflows; the allocation does not depend on the scale of w, and lam and
@@ -199,19 +208,15 @@ def allocate_quantization(w, R: float) -> AllocationResult:
     logs = np.log2(np.abs(weights[nonzero]))
     order = np.argsort(-logs, kind="stable")
     sorted_logs = logs[order]
-    prefix = np.cumsum(sorted_logs)
-    lam = None
-    k_star = None
-    for k in range(nonzero.size, 0, -1):
-        cand = (prefix[k - 1] - R + d) / k
-        if sorted_logs[k - 1] >= cand and (k == nonzero.size or sorted_logs[k] < cand):
-            lam, k_star = float(cand), k
-            break
-    if lam is None:  # numerically impossible for a valid instance; fall back to all funded
-        lam, k_star = float((prefix[-1] - R + d) / nonzero.size), nonzero.size
+    # funding the top k costs sum_{i<=k} (log_i - log_k) extra bits before the
+    # threshold drops below log_k; that cost is 0 at k = 1 and never falls
+    cost = np.cumsum(sorted_logs) - np.arange(1, nonzero.size + 1) * sorted_logs
+    k_star = int(np.flatnonzero(cost <= R - d)[-1]) + 1
+    share = (R - d - cost[k_star - 1]) / k_star  # >= 0, so every funded r_i >= 1
+    lam = float(sorted_logs[k_star - 1] - share)
     funded_local = order[:k_star]
     funded = nonzero[funded_local]
-    r[funded] = 1.0 + logs[funded_local] - lam
+    r[funded] = 1.0 + (logs[funded_local] - sorted_logs[k_star - 1]) + share
     return AllocationResult(ResourceVector(r, R), lam, np.sort(funded), 0.0)
 
 

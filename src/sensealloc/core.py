@@ -154,12 +154,21 @@ def _as_weights(w) -> np.ndarray:
 
 class _Closed:
     """Closed-form unit curve s, convex by construction: sigma = s(r),
-    dsigma_sq = d(s^2)/dr, marginal_inverse(a, nu) = r where -a d(s^2)/dr = nu."""
+    dsigma_sq = d(s^2)/dr, marginal_inverse(a, nu) = r where -a d(s^2)/dr = nu.
+    Smooth, so it has no knots and one derivative serves both sides."""
 
     domain, cap, needs_check = (1e-6, 1e3), math.inf, False
+    marginals = np.empty(0)
 
     def __init__(self, table):
         self.table = table  # closed forms ignore it; kept as given
+
+    def dsigma_sq_sides(self, r):
+        return self.dsigma_sq(r), None
+
+    @staticmethod
+    def at_knot(r):
+        return np.zeros(np.shape(r), dtype=bool)
 
 
 class _Inverse(_Closed):
@@ -186,7 +195,14 @@ class _Quantization(_Closed):
 
 
 class _Tabulated:
-    """Piecewise-linear s through a (r_grid, s_grid) table, flat beyond it."""
+    """Piecewise-linear s through a (r_grid, s_grid) table, flat beyond it.
+
+    On segment k, s has slope m_k, so the unit marginal h = -d(s^2)/dr =
+    -2 s m_k is linear in r; at knot k it jumps from -2 s_k m_{k-1} down to
+    -2 s_k m_k.  ``marginals`` lists the segment start and end values
+    [h(r_0+), h(r_1-), h(r_1+), ..., h(r_n-)], non-increasing exactly when
+    the table is decreasing and convex at the knots.
+    """
 
     needs_check = True
 
@@ -200,27 +216,41 @@ class _Tabulated:
         if r_grid[0] <= 0 or np.any(np.diff(r_grid) <= 0):
             raise InvalidNoiseModelError("table resource grid must be positive and increasing")
         self.table = (_frozen_array(r_grid), _frozen_array(s_grid))
-        self.domain, self.cap = (r_grid[0], r_grid[-1]), r_grid[-1]
+        self.domain, self.cap, self.knots = (r_grid[0], r_grid[-1]), r_grid[-1], self.table[0]
+        self._slopes = np.diff(s_grid) / np.diff(r_grid)
+        self._sided = np.concatenate(([0.0], self._slopes, [0.0]))  # flat outside the table
+        self.marginals = np.column_stack((-2.0 * s_grid[:-1] * self._slopes,
+                                          -2.0 * s_grid[1:] * self._slopes)).ravel()
+        self._rising = -self.marginals
 
     def sigma(self, r):
         return np.interp(r, *self.table)
 
-    def dsigma_sq(self, r):
-        """Central differences, one-sided at the table ends and zero beyond."""
-        h = np.maximum(1e-6 * np.maximum(np.abs(r), 1.0), 1e-9)
-        lo, hi = np.clip(r - h, *self.domain), np.clip(r + h, *self.domain)
-        return (self.sigma(hi) ** 2 - self.sigma(lo) ** 2) / np.where(hi > lo, hi - lo, 1.0)
+    def dsigma_sq(self, r, side="right"):
+        """Exact one-sided derivative 2 s(r) m_k, m_k the slope of the segment
+        on that side of r; zero where s is flat."""
+        return 2.0 * self.sigma(r) * self._sided[np.searchsorted(self.knots, r, side=side)]
+
+    def dsigma_sq_sides(self, r):
+        return self.dsigma_sq(r), self.dsigma_sq(r, "left")
+
+    def at_knot(self, r):
+        return self.knots[np.minimum(np.searchsorted(self.knots, r), self.knots.size - 1)] == r
 
     def marginal_inverse(self, a, nu):
-        """Lockstep bisection to brentq's tolerance; 0 where the marginal at the
-        table start is at most nu, the table end where it still exceeds nu."""
-        gap = lambda r: -a * self.dsigma_sq(r) - nu
-        lo, hi = np.full(np.shape(a), self.domain[0]), np.full(np.shape(a), self.cap)
-        below, above = gap(lo) <= 0, gap(hi) >= 0
-        while np.any(hi - lo > 1e-14 + 8.9e-16 * (mid := 0.5 * (lo + hi))):
-            up = gap(mid) > 0
-            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-        return np.where(below, 0.0, np.where(above, self.cap, mid))
+        """One search of nu/a in ``marginals``: inside a segment solve the
+        linear h(r) = nu/a, inside a jump return its knot; 0 where the marginal
+        at the table start is at most nu/a, the table end where it still is
+        at least nu/a."""
+        with np.errstate(divide="ignore"):
+            t = nu / a
+        i = np.clip(np.searchsorted(self._rising, -t) - 1, 0, self._rising.size - 2)
+        k = i // 2  # marginals[i] > t >= marginals[i + 1]: segment k if i is even, else knot k + 1
+        m, (r_grid, s_grid) = self._slopes[k], self.table
+        with np.errstate(divide="ignore", invalid="ignore"):
+            seg = np.clip(r_grid[k] + (-0.5 * t / m - s_grid[k]) / m, r_grid[k], r_grid[k + 1])
+        r = np.where(i % 2 == 1, r_grid[k + 1], seg)
+        return np.where(t >= self.marginals[0], 0.0, np.where(t <= self.marginals[-1], self.cap, r))
 
 
 #: Unit curve of each family, built from the model's table; the keys are the
@@ -289,9 +319,23 @@ class NoiseModel:
         return self.sigma(r) ** 2
 
     def dsigma_sq(self, r: ArrayLike) -> np.ndarray:
-        """d(sigma_i^2)/dr at r; analytic for built-ins, central differences
-        for tabulated models."""
+        """d(sigma_i^2)/dr at r; analytic for the closed forms, the exact
+        right-hand segment derivative for tabulated models (zero where the
+        table is flat)."""
         return self.scale**2 * self._curve.dsigma_sq(np.asarray(r, dtype=float))
+
+    def dsigma_sq_sides(self, r: ArrayLike):
+        """(right, left) one-sided d(sigma_i^2)/dr at r.  They differ only at
+        the knots of a tabulated model; for the smooth closed forms the
+        derivative is evaluated once and ``left`` is the same array."""
+        right, left = self._curve.dsigma_sq_sides(np.asarray(r, dtype=float))
+        right = self.scale**2 * right
+        return right, right if left is None else self.scale**2 * left
+
+    def at_knot(self, r: ArrayLike) -> np.ndarray:
+        """Elementwise: r is exactly a knot of a tabulated model, where the
+        marginal jumps; never for the smooth closed forms."""
+        return self._curve.at_knot(np.asarray(r, dtype=float))
 
     def marginal_inverse(self, nu: float, w2: ArrayLike) -> np.ndarray:
         """Resource at which -w2_i * d(sigma_i^2)/dr equals nu > 0, elementwise;
@@ -300,7 +344,10 @@ class NoiseModel:
 
     def validate(self, lo: Optional[float] = None, hi: Optional[float] = None, n: int = 64):
         """Sampled sanity check: sigma positive, strictly decreasing, and
-        midpoint-convex (same for sigma^2) on a grid in (lo, hi).
+        midpoint-convex (same for sigma^2) on a grid in (lo, hi); for a
+        tabulated model also the marginal at every knot, which must not
+        increase along the table (decreasing and convex at the knots), since
+        the exact marginal inversion relies on it.
 
         Raises InvalidNoiseModelError on the first violated property.  The
         check runs on the unit curve, since a positive scale changes none of
@@ -320,6 +367,10 @@ class NoiseModel:
             chord = (1 - t) * values[:-2] + t * values[2:]
             if np.any(values[1:-1] > chord * (1 + 1e-9) + 1e-12):
                 raise InvalidNoiseModelError(f"{name} violates convexity on the sampled grid")
+        marginals = self._curve.marginals
+        if np.any(np.diff(marginals) > 1e-9 * np.abs(marginals[:-1])):
+            raise InvalidNoiseModelError("table marginal rises at a knot: not decreasing "
+                                         "and convex")
 
 
 def check_allocation_feasible(w, r: ResourceVector, nm: NoiseModel) -> np.ndarray:

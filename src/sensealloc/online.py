@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .allocation import project_l1_ball, simplex_projection_raw
 from .core import NoiseModel, RngConfig
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
 
 AllocRule = Union[str, Callable[[np.ndarray], np.ndarray]]
 
@@ -64,6 +65,8 @@ class OnlineConfig:
         if not 0 < self.epsilon < math.inf:
             raise ConfigError(
                 f"probe step epsilon must be positive and finite, got {self.epsilon}")
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, numbers.Integral):
+            raise ConfigError(f"horizon must be an integer number of rounds, got {self.horizon!r}")
         if self.horizon < 1:
             raise ConfigError("horizon must be at least one round")
 
@@ -122,7 +125,8 @@ class SampleOracle:
                  rng: Optional[RngConfig] = None):
         if mode not in ("shared", "fresh", "correlated"):
             raise ConfigError(f"unknown oracle mode {mode!r}")
-        self._clean = clean_sampler
+        self._sampler = clean_sampler
+        self._clean = self._first_draw
         self._nm = nm
         self._budget = budget
         self.dim = dim
@@ -131,6 +135,16 @@ class SampleOracle:
         self._x = None
         self._y = None
         self._z = None
+
+    def _first_draw(self, gen: np.random.Generator) -> Tuple[np.ndarray, float]:
+        """Draw through the sampler, checking the sample's shape against dim
+        once; later draws call the sampler directly."""
+        x, y = self._sampler(gen)
+        if np.shape(x) != (self.dim,):
+            raise InvalidInputError(
+                f"sampler drew a sample of shape {np.shape(x)}, oracle dim is {self.dim}")
+        self._clean = self._sampler
+        return x, y
 
     def new_round(self) -> None:
         if self.mode != "fresh":

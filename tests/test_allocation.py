@@ -81,6 +81,43 @@ def test_waterfill_tabulated_tracks_analytic(tabulated, inverse_sqrt):
     np.testing.assert_allclose(res_tab.r.alloc, res_ana.r.alloc, atol=0.02)
 
 
+def test_waterfill_tabulated_knot_pinned_known_answer():
+    """s has knots at 1, 2, 3, 6 with slopes -1, -0.4, -0.1, so the unit
+    marginal jumps from 2 to 0.8 at r = 2.  At R = 4.625, w = [1, 1.5]: the
+    level nu = 1.35 falls in feature 0's jump, which stays on its knot, and
+    feature 1 solves 2.25 * 0.8 s(r) = 1.35 on its second segment."""
+    table = (np.array([1.0, 2.0, 3.0, 6.0]), np.array([2.0, 1.0, 0.6, 0.3]))
+    nm = NoiseModel("tabulated", table=table, floor=1.0)
+    res = allocate_waterfill(np.array([1.0, 1.5]), nm, 4.625)
+    assert res.r.alloc[0] == 2.0
+    np.testing.assert_allclose(res.r.alloc, [2.0, 2.625], rtol=1e-12)
+    assert abs(res.r.alloc.sum() - 4.625) <= 1e-12 * 4.625
+    assert res.residual < 1e-12
+    assert list(res.funded) == [0, 1]
+
+
+def test_waterfill_two_knot_table_is_symmetric():
+    nm = NoiseModel("tabulated", table=(np.array([1.0, 4.0]), np.array([2.0, 0.5])), floor=1.0)
+    res = allocate_waterfill(np.array([1.0, -1.0]), nm, 5.0)
+    np.testing.assert_allclose(res.r.alloc, [2.5, 2.5], rtol=1e-12)
+    assert res.residual < 1e-12
+
+
+def test_waterfill_tabulated_never_above_grid(tabulated):
+    """On random d=3 instances the exact tabulated water-fill is at least as
+    good as the best point of the grid_alloc_search lattice."""
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        w = rng.uniform(0.05, 4.0, 3) * rng.choice([-1.0, 1.0], 3)
+        R = float(rng.uniform(1.0, 12.0))
+        res = allocate_waterfill(w, tabulated, R)
+        grid = grid_alloc_search(w, tabulated, R)
+        gap = sigma_aggregate(w, res.r, tabulated) - sigma_aggregate(w, grid, tabulated)
+        assert abs(gap) <= 1e-4
+        assert gap <= 1e-12
+        assert res.residual < 1e-12
+
+
 def test_closed_form_inverse_sqrt_examples():
     np.testing.assert_allclose(allocate_inverse_sqrt(np.array([1.0, 7.0, 1.0]), 9.0).alloc,
                                [1.0, 7.0, 1.0])
@@ -189,6 +226,23 @@ class TestQuantization:
         res = allocate_quantization(np.array([1e-6, 4.0]), 4.0)
         assert res.r.alloc[0] == 1.0
         assert list(res.funded) == [1]
+
+    def test_budget_equal_to_dimension_gives_one_bit_each(self):
+        # (prefix - R + d)/k rounded away from the top log, so no k passed
+        w = np.array([2.34231292464806, 1.2298497246347444, 2.7043797679276196,
+                      0.8380860036744426, 3.7713467865006662])
+        res = allocate_quantization(w, 5.0)
+        np.testing.assert_array_equal(res.r.alloc, np.ones(5))
+
+    def test_random_instances_spend_budget_with_one_bit_floor(self):
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            d = int(rng.integers(2, 6))
+            w = rng.uniform(0.05, 4.0, d) * rng.choice([-1.0, 1.0], d)
+            R = float(d + rng.choice([0.0, rng.uniform(0.0, 3.0 * d)]))
+            res = allocate_quantization(w, R)
+            assert abs(res.r.alloc.sum() - R) <= 1e-12 * R
+            assert np.all(res.r.alloc >= 1.0)
 
 
 class TestIntegerRefinement:

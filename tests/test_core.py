@@ -114,14 +114,66 @@ ROUND_TRIP_MODELS = [
 )
 @settings(max_examples=120, deadline=None)
 def test_marginal_inverse_round_trip(nm, wlist, log_nu):
-    """-w^2 dsigma^2/dr at the inverted resource gives back the level nu
-    wherever the inverse lands strictly inside the solver's bracket."""
+    """The level nu lies in the subdifferential [g(r+), g(r-)] of the
+    marginal g = -w^2 dsigma^2/dr at the inverted resource, wherever the
+    inverse lands strictly inside the solver's bracket.  For the smooth
+    families g(r+) = g(r-) and this is g(r) = nu; a tabulated model's g jumps
+    at the knots, where the inverse may land."""
     w2 = np.array(wlist) ** 2
     nu = 10.0**log_nu
     r = nm.marginal_inverse(nu, w2)
     floor, cap = nm.bracket(10.0)
     inside = (r > floor) & (r < cap)
-    np.testing.assert_allclose(-w2[inside] * nm.dsigma_sq(r)[inside], nu, rtol=1e-8)
+    right, left = nm.dsigma_sq_sides(r)
+    assert np.all(-w2[inside] * right[inside] <= nu * (1 + 1e-8))
+    assert np.all(-w2[inside] * left[inside] >= nu * (1 - 1e-8))
+
+
+def _polyline(knots, slopes, start):
+    """sigma table through `knots` starting at `start` with segment slopes."""
+    return np.array(knots, dtype=float), start + np.concatenate(
+        ([0.0], np.cumsum(np.array(slopes) * np.diff(knots))))
+
+
+def test_tabulated_inverse_on_a_single_segment():
+    # s = 2 - (r - 1)/2 on [1, 4], so the unit marginal -d(s^2)/dr is s itself
+    nm = NoiseModel("tabulated", table=_polyline([1.0, 4.0], [-0.5], 2.0), floor=1.0)
+    np.testing.assert_array_equal(nm._curve.marginals, [2.0, 0.5])
+    np.testing.assert_allclose(nm.marginal_inverse(1.0, [1.0, 0.8, 1.6]), [3.0, 2.5, 3.75],
+                               rtol=1e-15)
+    np.testing.assert_array_equal(nm.dsigma_sq(np.array([0.5, 1.0, 3.0, 4.0, 5.0])),
+                                  [0.0, -2.0, -1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(nm.dsigma_sq_sides(np.array([1.0, 4.0]))[1], [0.0, -0.5])
+
+
+def test_tabulated_inverse_beyond_the_table_ends():
+    """0 where even the marginal at the table start is at most nu, the table
+    end where the marginal there still is at least nu."""
+    nm = NoiseModel("tabulated", table=_polyline([1.0, 2.0, 3.0], [-1.0, -0.4], 2.0))
+    # marginals: [4, 2] on the first segment, [0.8, 0.48] on the second
+    np.testing.assert_allclose(nm._curve.marginals, [4.0, 2.0, 0.8, 0.48], rtol=1e-14)
+    w2 = np.array([1.0, 0.25, 1e-300, 0.0, 10.0, 2.0])
+    np.testing.assert_allclose(nm.marginal_inverse(1.0, w2), [2.0, 0.0, 0.0, 0.0, 3.0, 2.9375],
+                               rtol=1e-14)
+    np.testing.assert_array_equal(nm.marginal_inverse(4.0, [1.0]), [0.0])
+
+
+def test_tabulated_inverse_returns_the_knot_inside_a_jump():
+    nm = NoiseModel("tabulated", table=_polyline([1.0, 2.0, 3.0], [-1.0, -0.4], 2.0))
+    nus = np.array([2.0, 1.5, 0.8, 1.999999])
+    r = np.array([nm.marginal_inverse(nu, [1.0])[0] for nu in nus])
+    np.testing.assert_array_equal(r, 2.0)
+
+
+@pytest.mark.parametrize("size", [1.0, 1e-9])
+def test_tabulated_knot_marginals_validated(size):
+    """A concave kink between the sampled points passes the sampled check
+    but makes the knot marginal rise, which the exact inverse cannot use;
+    the knot check is relative, so it holds for a table of tiny sigma too."""
+    r_grid, s_grid = _polyline([1.0, 5.0, 5.01, 5.02, 10.0], [-0.1, -0.05, -0.2, -0.05], 2.0)
+    kinked = NoiseModel("tabulated", floor=1.0, table=(r_grid, size * s_grid))
+    with pytest.raises(InvalidNoiseModelError, match="knot"):
+        kinked.validate()
 
 
 def test_bad_tables_rejected():

@@ -20,7 +20,7 @@ from sensealloc import (
     run_unknown,
 )
 from sensealloc.allocation import simplex_projection_raw
-from sensealloc.errors import ConfigError, InfeasibleSetError
+from sensealloc.errors import ConfigError, InfeasibleSetError, InvalidInputError
 
 
 def make_sampler(w_true, x_sd):
@@ -343,6 +343,27 @@ def test_online_config_rejects_non_finite(field, bad):
     kw[field] = bad
     with pytest.raises(ConfigError):
         OnlineConfig(**kw)
+
+
+@pytest.mark.parametrize("horizon", [2.5, 10.0, True, "10", np.float64(3.0)])
+def test_online_config_rejects_non_integer_horizon(horizon):
+    with pytest.raises(ConfigError):
+        OnlineConfig(weight_cap=1.0, budget=3.0, horizon=horizon)
+
+
+def test_online_config_accepts_numpy_integer_horizon():
+    assert OnlineConfig(weight_cap=1.0, budget=3.0, horizon=np.int64(10)).horizon == 10
+
+
+@pytest.mark.parametrize("mode", ["shared", "fresh", "correlated"])
+@pytest.mark.parametrize("run", ["unknown", "noisy"])
+def test_sampler_dimension_mismatch_rejected(mode, run, inverse_sqrt):
+    oracle = SampleOracle(lambda g: (g.normal(size=3), 1.0), inverse_sqrt, budget=6.0,
+                          dim=5, mode=mode)
+    cfg = OnlineConfig(weight_cap=1.0, budget=6.0, horizon=5)
+    with pytest.raises(InvalidInputError, match="dim"):
+        run_unknown(oracle, cfg) if run == "unknown" else run_noisy(oracle, cfg, "uniform",
+                                                                       inverse_sqrt)
 
 
 @pytest.mark.parametrize("v", [[1.0, np.nan, 2.0], [np.inf, 0.0]])
