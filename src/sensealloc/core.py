@@ -2,9 +2,11 @@
 
 A noise model maps the resource r_i spent on acquiring feature i to the
 standard deviation sigma_i(r_i) of the additive disturbance on that feature.
-Every built-in family is positive, strictly decreasing, and convex in r (and
-so is sigma_i^2), which is what the allocation solvers rely on.  Solvers see
-a family only through :class:`NoiseModel`, which scales its unit curve.
+Every noise model is positive, strictly decreasing, and convex in r (and so
+is sigma_i^2), which is what the allocation solvers rely on: the closed forms
+by construction, a table because it is checked exactly when it is built.
+Solvers see a family only through :class:`NoiseModel`, which scales its unit
+curve.
 """
 
 from __future__ import annotations
@@ -157,11 +159,11 @@ class _Closed:
     dsigma_sq = d(s^2)/dr, marginal_inverse(a, nu) = r where -a d(s^2)/dr = nu.
     Smooth, so it has no knots and one derivative serves both sides."""
 
-    domain, cap, needs_check = (1e-6, 1e3), math.inf, False
-    marginals = np.empty(0)
+    table, start, cap = None, 0.0, math.inf
 
     def __init__(self, table):
-        self.table = table  # closed forms ignore it; kept as given
+        if table is not None:
+            raise InvalidNoiseModelError("only the tabulated family takes a table")
 
     def dsigma_sq_sides(self, r):
         return self.dsigma_sq(r), None
@@ -200,11 +202,10 @@ class _Tabulated:
     On segment k, s has slope m_k, so the unit marginal h = -d(s^2)/dr =
     -2 s m_k is linear in r; at knot k it jumps from -2 s_k m_{k-1} down to
     -2 s_k m_k.  ``marginals`` lists the segment start and end values
-    [h(r_0+), h(r_1-), h(r_1+), ..., h(r_n-)], non-increasing exactly when
-    the table is decreasing and convex at the knots.
+    [h(r_0+), h(r_1-), h(r_1+), ..., h(r_n-)]; for positive, strictly
+    decreasing s they never rise exactly when s is convex at every knot
+    (m_{k-1} <= m_k), the whole admissibility of a piecewise-linear table.
     """
-
-    needs_check = True
 
     def __init__(self, table):
         if table is None:
@@ -213,14 +214,21 @@ class _Tabulated:
         s_grid = np.asarray(table[1], dtype=float)
         if r_grid.ndim != 1 or r_grid.shape != s_grid.shape or r_grid.size < 2:
             raise InvalidNoiseModelError("table must be two equal-length 1-D arrays")
-        if r_grid[0] <= 0 or np.any(np.diff(r_grid) <= 0):
-            raise InvalidNoiseModelError("table resource grid must be positive and increasing")
+        if not (r_grid[0] > 0 and np.all(np.diff(r_grid) > 0) and r_grid[-1] < math.inf):
+            raise InvalidNoiseModelError("table resource grid must be positive, finite and "
+                                         "increasing")
+        if not (s_grid[0] < math.inf and np.all(np.diff(s_grid) < 0) and s_grid[-1] > 0):
+            raise InvalidNoiseModelError("table sigma must be positive, finite and strictly "
+                                         "decreasing")
         self.table = (_frozen_array(r_grid), _frozen_array(s_grid))
-        self.domain, self.cap, self.knots = (r_grid[0], r_grid[-1]), r_grid[-1], self.table[0]
+        self.start, self.cap, self.knots = r_grid[0], r_grid[-1], self.table[0]
         self._slopes = np.diff(s_grid) / np.diff(r_grid)
         self._sided = np.concatenate(([0.0], self._slopes, [0.0]))  # flat outside the table
         self.marginals = np.column_stack((-2.0 * s_grid[:-1] * self._slopes,
                                           -2.0 * s_grid[1:] * self._slopes)).ravel()
+        if np.any(np.diff(self.marginals) > 1e-9 * self.marginals[:-1]):
+            raise InvalidNoiseModelError("table marginal rises at a knot: not decreasing "
+                                         "and convex")
         self._rising = -self.marginals
 
     def sigma(self, r):
@@ -274,9 +282,13 @@ class NoiseModel:
     floor:
         smallest allocation at which sigma is evaluated (positive, finite);
         None defers to ``FLOOR_FRACTION * budget`` at the point of use.
-        Guards the sigma(0) = inf singularity of the inverse families.
+        Guards the sigma(0) = inf singularity of the inverse families.  A
+        table's sigma is flat below its start, so the floor never lies below
+        the table start.
     table:
-        (r_grid, sigma_grid) pair, required for family "tabulated".
+        (r_grid, sigma_grid) pair, required for family "tabulated" and
+        rejected by the others.  Sigma must be positive, finite, strictly
+        decreasing and convex at every knot, or the model does not construct.
     """
 
     family: str
@@ -298,13 +310,13 @@ class NoiseModel:
         object.__setattr__(self, "_curve", curve)
 
     def floor_for(self, budget: float) -> float:
-        return self.floor if self.floor is not None else FLOOR_FRACTION * budget
+        floor = self.floor if self.floor is not None else FLOOR_FRACTION * budget
+        return max(floor, self._curve.start)
 
     def bracket(self, budget: float) -> Tuple[float, float]:
         """(floor, cap) bounding each feature's resource in a solve at this
-        budget; cap is the table end, else inf.  Tables are validated first."""
-        if self._curve.needs_check:
-            self.validate()
+        budget: the floor is at least the table start, the cap is the table
+        end, else inf."""
         return self.floor_for(budget), self._curve.cap
 
     def feature_scale(self, i: int) -> float:
@@ -341,36 +353,6 @@ class NoiseModel:
         """Resource at which -w2_i * d(sigma_i^2)/dr equals nu > 0, elementwise;
         not clamped to :meth:`bracket`."""
         return self._curve.marginal_inverse(np.asarray(w2, dtype=float) * self.scale**2, nu)
-
-    def validate(self, lo: Optional[float] = None, hi: Optional[float] = None, n: int = 64):
-        """Sampled sanity check: sigma positive, strictly decreasing, and
-        midpoint-convex (same for sigma^2) on a grid in (lo, hi); for a
-        tabulated model also the marginal at every knot, which must not
-        increase along the table (decreasing and convex at the knots), since
-        the exact marginal inversion relies on it.
-
-        Raises InvalidNoiseModelError on the first violated property.  The
-        check runs on the unit curve, since a positive scale changes none of
-        these; it mainly protects against bad tabulated models.
-        """
-        lo = self._curve.domain[0] if lo is None else lo
-        hi = self._curve.domain[1] if hi is None else hi
-        grid = np.geomspace(lo, hi, n)
-        sigma = self._curve.sigma(grid)
-        for values, name in ((sigma, "sigma"), (sigma**2, "sigma^2")):
-            if np.any(values <= 0) or not np.all(np.isfinite(values)):
-                raise InvalidNoiseModelError(f"{name} is not positive and finite on the grid")
-            if np.any(np.diff(values) >= 0):
-                raise InvalidNoiseModelError(f"{name} is not strictly decreasing")
-            # geometric grid is not equispaced; check convexity on chords
-            t = (grid[1:-1] - grid[:-2]) / (grid[2:] - grid[:-2])
-            chord = (1 - t) * values[:-2] + t * values[2:]
-            if np.any(values[1:-1] > chord * (1 + 1e-9) + 1e-12):
-                raise InvalidNoiseModelError(f"{name} violates convexity on the sampled grid")
-        marginals = self._curve.marginals
-        if np.any(np.diff(marginals) > 1e-9 * np.abs(marginals[:-1])):
-            raise InvalidNoiseModelError("table marginal rises at a knot: not decreasing "
-                                         "and convex")
 
 
 def check_allocation_feasible(w, r: ResourceVector, nm: NoiseModel) -> np.ndarray:

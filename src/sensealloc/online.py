@@ -31,7 +31,7 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from .allocation import project_l1_ball, simplex_projection_raw
-from .core import NoiseModel, RngConfig
+from .core import FLOOR_FRACTION, NoiseModel, RngConfig
 from .errors import ConfigError, InvalidInputError
 
 AllocRule = Union[str, Callable[[np.ndarray], np.ndarray]]
@@ -69,10 +69,13 @@ class OnlineConfig:
             raise ConfigError(f"horizon must be an integer number of rounds, got {self.horizon!r}")
         if self.horizon < 1:
             raise ConfigError("horizon must be at least one round")
+        if self.resource_floor is not None and not 0 < self.resource_floor < math.inf:
+            raise ConfigError(
+                f"resource floor must be positive and finite, got {self.resource_floor}")
 
     def floor(self) -> float:
-        f = self.resource_floor if self.resource_floor is not None else 1e-9 * self.budget
-        return f
+        f = self.resource_floor
+        return f if f is not None else FLOOR_FRACTION * self.budget
 
 
 @dataclass
@@ -125,6 +128,8 @@ class SampleOracle:
                  rng: Optional[RngConfig] = None):
         if mode not in ("shared", "fresh", "correlated"):
             raise ConfigError(f"unknown oracle mode {mode!r}")
+        if not 0 < budget < math.inf:
+            raise InvalidInputError(f"budget must be positive and finite, got {budget}")
         self._sampler = clean_sampler
         self._clean = self._first_draw
         self._nm = nm

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,9 +71,8 @@ def test_waterfill_rejects_degenerate(inverse_sqrt):
 
 def test_waterfill_rejects_bad_table():
     grid = np.linspace(1.0, 10.0, 30)
-    bad = NoiseModel("tabulated", table=(grid, (11.0 - grid) ** 0.35), floor=1.0)
     with pytest.raises(InvalidNoiseModelError):
-        allocate_waterfill(np.ones(2), bad, 5.0)
+        NoiseModel("tabulated", table=(grid, (11.0 - grid) ** 0.35), floor=1.0)
 
 
 def test_waterfill_tabulated_tracks_analytic(tabulated, inverse_sqrt):
@@ -101,6 +102,24 @@ def test_waterfill_two_knot_table_is_symmetric():
     res = allocate_waterfill(np.array([1.0, -1.0]), nm, 5.0)
     np.testing.assert_allclose(res.r.alloc, [2.5, 2.5], rtol=1e-12)
     assert res.residual < 1e-12
+
+
+def test_waterfill_tabulated_floor_below_table_start(tabulated):
+    """sigma is flat below the table start, so a floor there (the default
+    1e-9 * R included) is lifted to the start: the solve equals the one with
+    floor = start, and d * start >= R is infeasible."""
+    unfloored = NoiseModel("tabulated", table=tabulated.table)
+    low = NoiseModel("tabulated", table=tabulated.table, floor=1e-4)
+    w = np.array([1.0, 2.0, 3.0])
+    ref = allocate_waterfill(w, tabulated, 9.0)
+    for nm in (unfloored, low):
+        assert nm.floor_for(9.0) == 0.01
+        res = allocate_waterfill(w, nm, 9.0)
+        np.testing.assert_array_equal(res.r.alloc, ref.r.alloc)
+        assert (res.lam, res.residual) == (ref.lam, ref.residual)
+        np.testing.assert_array_equal(res.funded, ref.funded)
+    with pytest.raises(InfeasibleSetError):
+        allocate_waterfill(w, unfloored, 0.03)
 
 
 def test_waterfill_tabulated_never_above_grid(tabulated):
@@ -278,6 +297,49 @@ class TestIntegerRefinement:
         val_out = float(np.sum(w**2 * np.exp2(-2.0 * out.alloc)))
         val_ref = float(np.sum(w**2 * np.exp2(-2.0 * ref)))
         assert val_out == pytest.approx(val_ref, rel=1e-12)
+
+    def test_matches_exhaustive_oracle_on_many_instances(self):
+        """Integer and fractional budgets, zero weights and equal weights."""
+        rng = np.random.default_rng(11)
+        for k in range(2000):
+            d = int(rng.integers(2, 5))
+            w = rng.uniform(0.05, 6.0, d) * rng.choice([-1.0, 1.0], d)
+            if k % 5 == 1:
+                w[rng.integers(d)] = 0.0
+            elif k % 5 == 2:
+                w[:] = w[0]
+            R = float(rng.integers(d, 2 * d + 2))
+            if k % 2:
+                R += float(rng.uniform(0.0, 1.0))
+            out = refine_integer_bits(allocate_quantization(w, R), w, R).alloc
+            ref = oracle_integer_bits(w, R)
+            val_out = float(np.sum(w**2 * np.exp2(-2.0 * out)))
+            val_ref = float(np.sum(w**2 * np.exp2(-2.0 * ref)))
+            assert np.all(out == np.round(out)) and np.all(out >= 1.0) and out.sum() <= R
+            assert val_out == pytest.approx(val_ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("R", [np.nan, np.inf, -1.0])
+    def test_bad_budget_rejected(self, R):
+        ar = allocate_quantization(np.array([1.0, 2.0]), 5.0)
+        with pytest.raises(SenseAllocError):
+            refine_integer_bits(ar, np.array([1.0, 2.0]), R)
+
+    @pytest.mark.parametrize("d", [20, 200, 10_000])
+    def test_large_dimension_spends_floor_budget_with_no_improving_exchange(self, d):
+        """At d = 20, R = 40 the old +-1 enumeration would have visited 3^20
+        points.  No bit can move from one feature to another and lower
+        sum w_i^2 4^(-r_i)."""
+        rng = np.random.default_rng(d)
+        w = rng.uniform(0.05, 4.0, d)
+        for R in (2.0 * d, 2.0 * d + 0.5, 3.7 * d):
+            bits = refine_integer_bits(allocate_quantization(w, R), w, R).alloc
+            assert bits.sum() == math.floor(R) and np.all(bits >= 1.0)
+            assert np.all(bits == np.round(bits))
+            term = w**2 * np.exp2(-2.0 * bits)
+            # moving a bit from i to j lowers the objective iff gain_j > loss_i;
+            # gain_i < loss_i, so taking the max over every j is exact
+            gain, loss = 0.75 * term, 3.0 * term
+            assert gain.max() <= loss[bits > 1.0].min() * (1 + 1e-12)
 
 
 class TestAdversarial:

@@ -57,7 +57,6 @@ def test_sigma_positive_homogeneity(weight, idx):
 @pytest.mark.parametrize("family", ["inverse", "inverse_sqrt", "quantization"])
 def test_families_decreasing_and_convex(family):
     nm = NoiseModel(family)
-    nm.validate(1e-3, 1e2, n=200)  # raises on violation
     grid = np.linspace(0.1, 20.0, 200)
     vals = nm.sigma(grid)
     assert np.all(np.diff(vals) < 0)
@@ -66,14 +65,15 @@ def test_families_decreasing_and_convex(family):
 
 
 def test_tabulated_validate(tabulated):
-    tabulated.validate()
+    """Constructing the model is the check: a bad table never constructs."""
+    NoiseModel("tabulated", table=tabulated.table, floor=0.01)
 
 
 def test_concave_table_rejected():
     grid = np.linspace(1.0, 10.0, 50)
-    concave = NoiseModel("tabulated", table=(grid, (11.0 - grid) ** 0.35), floor=1.0)
-    with pytest.raises(InvalidNoiseModelError):
-        concave.validate()  # decreasing but concave, and so is sigma^2
+    with pytest.raises(InvalidNoiseModelError, match="knot"):
+        # decreasing but concave, and so is sigma^2
+        NoiseModel("tabulated", table=(grid, (11.0 - grid) ** 0.35), floor=1.0)
 
 
 def test_sigma_aggregate_vector_scale_with_zero_weight():
@@ -84,8 +84,7 @@ def test_sigma_aggregate_vector_scale_with_zero_weight():
 
 
 def test_tabulated_vector_scale_validates(tabulated):
-    scaled = NoiseModel("tabulated", scale=[1.0, 2.0, 0.5], table=tabulated.table, floor=0.01)
-    scaled.validate()
+    NoiseModel("tabulated", scale=[1.0, 2.0, 0.5], table=tabulated.table, floor=0.01)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -171,9 +170,45 @@ def test_tabulated_knot_marginals_validated(size):
     but makes the knot marginal rise, which the exact inverse cannot use;
     the knot check is relative, so it holds for a table of tiny sigma too."""
     r_grid, s_grid = _polyline([1.0, 5.0, 5.01, 5.02, 10.0], [-0.1, -0.05, -0.2, -0.05], 2.0)
-    kinked = NoiseModel("tabulated", floor=1.0, table=(r_grid, size * s_grid))
     with pytest.raises(InvalidNoiseModelError, match="knot"):
-        kinked.validate()
+        NoiseModel("tabulated", floor=1.0, table=(r_grid, size * s_grid))
+
+
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_table_admissible_exactly_when_knot_marginals_fall(segments, seed):
+    """A positive table whose negative slopes increase constructs; raising
+    one interior slope above the next (a concave knot) is rejected."""
+    gen = np.random.default_rng(seed)
+    knots = np.cumsum(gen.uniform(0.05, 2.0, segments + 1))
+    slopes = -np.cumsum(gen.uniform(0.01, 0.5, segments))[::-1]  # strictly increasing
+    # s stays positive under any order of these slopes
+    start = -slopes[0] * (knots[-1] - knots[0]) + gen.uniform(0.01, 1.0)
+    NoiseModel("tabulated", table=_polyline(knots, slopes, start))
+    if segments >= 2:
+        k = int(gen.integers(0, segments - 1))
+        kinked = slopes.copy()
+        kinked[[k, k + 1]] = slopes[[k + 1, k]]  # the marginal rises at knot k + 1
+        with pytest.raises(InvalidNoiseModelError, match="knot"):
+            NoiseModel("tabulated", table=_polyline(knots, kinked, start))
+
+
+@pytest.mark.parametrize("s_grid", [[2.0, 1.0, 1.0], [2.0, 3.0, 1.0], [2.0, 1.0, 0.0],
+                                    [2.0, np.nan, 1.0], [np.inf, 1.0, 0.5]])
+def test_table_sigma_positive_finite_strictly_decreasing(s_grid):
+    with pytest.raises(InvalidNoiseModelError):
+        NoiseModel("tabulated", table=(np.array([1.0, 2.0, 3.0]), np.array(s_grid)))
+
+
+@pytest.mark.parametrize("r_grid", [[1.0, np.nan, 3.0], [np.nan, 2.0, 3.0], [1.0, 2.0, np.inf]])
+def test_table_grid_nan_or_inf_rejected(r_grid):
+    with pytest.raises(InvalidNoiseModelError):
+        NoiseModel("tabulated", table=(np.array(r_grid), np.array([2.0, 1.0, 0.5])))
+
+
+def test_closed_form_rejects_a_table():
+    with pytest.raises(InvalidNoiseModelError):
+        NoiseModel("inverse", table=(np.array([1.0, 2.0]), np.array([2.0, 1.0])))
 
 
 def test_bad_tables_rejected():

@@ -351,6 +351,20 @@ def test_online_config_rejects_non_integer_horizon(horizon):
         OnlineConfig(weight_cap=1.0, budget=3.0, horizon=horizon)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+def test_online_config_rejects_bad_resource_floor(bad):
+    """A NaN floor made run_unknown divide by zero; -1 let allocations go
+    negative."""
+    with pytest.raises(ConfigError):
+        OnlineConfig(weight_cap=1.0, budget=3.0, horizon=10, resource_floor=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+def test_sample_oracle_rejects_bad_budget(bad, inverse_sqrt):
+    with pytest.raises(InvalidInputError):
+        SampleOracle(lambda g: (g.normal(size=3), 1.0), inverse_sqrt, budget=bad, dim=3)
+
+
 def test_online_config_accepts_numpy_integer_horizon():
     assert OnlineConfig(weight_cap=1.0, budget=3.0, horizon=np.int64(10)).horizon == 10
 
