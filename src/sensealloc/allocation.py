@@ -23,9 +23,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .core import NoiseModel, ResourceVector, _as_weights, noise_variance
+from .core import NoiseModel, ResourceVector, _as_weights, _brentq, noise_variance
 from .errors import (
     BudgetTooSmallError,
     DegenerateClassifierError,
@@ -56,14 +55,6 @@ def _neg_dvar(nm: NoiseModel, w2: np.ndarray, r: np.ndarray) -> np.ndarray:
     return -w2 * nm.dsigma_sq(r)
 
 
-def _invert_marginal(nm: NoiseModel, w2: np.ndarray, active: np.ndarray,
-                     nu: float, floor: float, r_cap: float) -> np.ndarray:
-    """Solve g_i(r) = nu per active feature, clamped to [floor, r_cap]."""
-    r = np.zeros(w2.shape[0])
-    r[active] = np.clip(nm.marginal_inverse(nu, w2)[active], floor, r_cap)
-    return r
-
-
 def _waterfill(weights: np.ndarray, nm: NoiseModel, R: float):
     """Core root search: returns (allocation, nu) with nu the common marginal
     of the variance objective sum w_i^2 sigma_i^2."""
@@ -82,9 +73,21 @@ def _waterfill(weights: np.ndarray, nm: NoiseModel, R: float):
     nu_hi = float(np.max(g_floor[active])) * 2.0 + 1e-300
     nu_lo = max(float(np.min(g_at_R[active])) * 0.5, 1e-300)
 
+    # the root search evaluates invert many times, so what does not depend
+    # on nu (the scaled active weights of the unit curve) is computed once
+    a = (w2 * nm.scale**2)[active]
+    inverse = nm._curve.marginal_inverse
+
+    def invert(nu: float) -> np.ndarray:
+        """Solve g_i(r) = nu per active feature, clamped to [floor, r_cap]."""
+        r = np.zeros(d)
+        r[active] = np.minimum(np.maximum(inverse(a, nu), floor), r_cap)
+        return r
+
     def excess(log_nu: float) -> float:
-        r = _invert_marginal(nm, w2, active, math.exp(log_nu), floor, r_cap)
-        return float(r.sum()) - R
+        # summed over all d entries, zeros included: pairwise summation of
+        # the active entries alone would round differently
+        return float(invert(math.exp(log_nu)).sum()) - R
 
     lo, hi = math.log(nu_lo), math.log(nu_hi)
     f_lo = excess(lo)
@@ -96,12 +99,11 @@ def _waterfill(weights: np.ndarray, nm: NoiseModel, R: float):
     if f_lo <= 0:
         # every feature is capped yet the budget is not spent; sigma is flat
         # beyond the cap, so spread the leftover evenly
-        r = _invert_marginal(nm, w2, active, math.exp(lo), floor, r_cap)
+        r = invert(math.exp(lo))
         r[active] += (R - r.sum()) / n_active
         return r, math.exp(lo)
-    log_nu = brentq(excess, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=500)
-    nu = math.exp(log_nu)
-    r = _invert_marginal(nm, w2, active, nu, floor, r_cap)
+    nu = math.exp(_brentq(excess, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=500))
+    r = invert(nu)
     funded = active & (r > floor * (1.0 + 1e-9))
     free = funded & ~nm.at_knot(r)  # features pinned at a knot stay on it
     pool = next(mask for mask in (free, funded, active) if np.any(mask))
@@ -201,6 +203,8 @@ def allocate_quantization(w, R: float) -> AllocationResult:
     """
     weights = _as_weights(w)
     d = weights.shape[0]
+    if not 0 < R < math.inf:
+        raise InfeasibleSetError(f"budget must be positive and finite, got {R}")
     if R < d:
         raise BudgetTooSmallError(f"need at least one bit per feature: R={R} < d={d}")
     nonzero = np.flatnonzero(weights != 0.0)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .allocation import allocate_inverse_sqrt
 from .core import (
@@ -22,6 +21,7 @@ from .core import (
     ResourceVector,
     RngConfig,
     _as_weights,
+    _brentq,
     generate_synthetic,
 )
 from .errors import DegenerateClassifierError, UnattainableLossError
@@ -94,7 +94,7 @@ def equal_loss_budget(ds: Dataset, w, b: float, nm: NoiseModel, target_loss: flo
             raise UnattainableLossError(
                 f"loss never reaches {target_loss:.6g}; noise floor too high"
             )
-    return float(brentq(gap, lo, hi, rtol=rtol, maxiter=300))
+    return _brentq(gap, lo, hi, xtol=2e-12, rtol=rtol, maxiter=300)
 
 
 def budget_ratio_bounds(w_uniform, w_optimal) -> tuple[float, float]:

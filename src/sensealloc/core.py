@@ -18,7 +18,12 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import InfeasibleAllocationError, InvalidInputError, InvalidNoiseModelError
+from .errors import (
+    InfeasibleAllocationError,
+    InvalidInputError,
+    InvalidNoiseModelError,
+    RootSearchError,
+)
 
 ArrayLike = Union[np.ndarray, Sequence[float]]
 
@@ -154,6 +159,64 @@ def _as_weights(w) -> np.ndarray:
     return weights
 
 
+def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of f between a and b, where f(a) and f(b) differ in sign, by
+    Brent's method (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 4): a secant or inverse quadratic step when it shrinks
+    the bracket fast enough, else bisection.  Stops once half the bracket is
+    below (xtol + rtol |x|) / 2.  On a finite bracket the iteration, down to
+    each comparison, is that of the C ``brentq`` behind
+    ``scipy.optimize.brentq``, so it visits the same iterates and returns the
+    same float."""
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise RootSearchError(f"function value at x={x!r} is NaN")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise RootSearchError(f"f({a!r}) = {fpre!r} and f({b!r}) = {fcur!r} have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0) != (fcur < 0):  # xblk is the other end of the bracket
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+            except ZeroDivisionError:  # an underflowed divisor: C's inf or NaN step fails the test
+                pass
+        if short:
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RootSearchError(f"no convergence in {maxiter} iterations")
+
+
 class _Closed:
     """Closed-form unit curve s, convex by construction: sigma = s(r),
     dsigma_sq = d(s^2)/dr, marginal_inverse(a, nu) = r where -a d(s^2)/dr = nu.
@@ -173,18 +236,20 @@ class _Closed:
         return np.zeros(np.shape(r), dtype=bool)
 
 
+def _reciprocal(x, positive):
+    """1/x where ``positive``, inf elsewhere (r <= 0 and NaN included)."""
+    return np.divide(1.0, x, out=np.full(np.shape(x), np.inf), where=positive)
+
+
 class _Inverse(_Closed):
-    @staticmethod
-    def sigma(r):
-        with np.errstate(divide="ignore"):
-            return np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), np.inf)
+    sigma = staticmethod(lambda r: _reciprocal(r, r > 0))
 
     dsigma_sq = staticmethod(lambda r: -2.0 / r**3)
     marginal_inverse = staticmethod(lambda a, nu: np.cbrt(2.0 * a / nu))
 
 
 class _InverseSqrt(_Closed):
-    sigma = staticmethod(lambda r: _Inverse.sigma(np.sqrt(np.maximum(r, 0.0))))
+    sigma = staticmethod(lambda r: _reciprocal(np.sqrt(np.maximum(r, 0.0)), r > 0))
     dsigma_sq = staticmethod(lambda r: -1.0 / r**2)
     marginal_inverse = staticmethod(lambda a, nu: np.sqrt(a / nu))
 

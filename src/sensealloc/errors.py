@@ -29,6 +29,11 @@ class InfeasibleSetError(SenseAllocError):
     """The target simplex {sum r = R, r >= floor} is empty."""
 
 
+class RootSearchError(SenseAllocError):
+    """A bracketed root search was given no sign change, met a NaN value, or
+    did not converge within its iteration cap."""
+
+
 class UnattainableLossError(SenseAllocError):
     """The requested loss level lies below the data-term floor for any budget."""
 

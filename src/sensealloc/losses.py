@@ -14,12 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import Dataset, NoiseModel, ResourceVector, _as_weights, noise_variance
 from .errors import InvalidInputError
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_SQRT_2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,20 @@ def _phi(z):
     return _INV_SQRT_2PI * np.exp(-0.5 * z * z)
 
 
+def _normal_cdf(z):
+    """Phi(z) = erfc(-z / sqrt 2) / 2 by ``math.erfc`` on each element; erfc
+    keeps the lower tail accurate where 1 + erf would cancel."""
+    return 0.5 * np.vectorize(math.erfc, otypes=[float])(-z / _SQRT_2)
+
+
 def gaussian_hinge_expected(margin, sigma: float):
     """E[max(0, 1 - (m + Z))] with Z ~ Normal(0, sigma^2).
 
     Closed form (1-m) Phi((1-m)/sigma) + sigma phi((1-m)/sigma); collapses to
     the plain hinge max(0, 1-m) as sigma -> 0.  Accepts scalar or array
-    margins.  The normal CDF comes from scipy's ndtr (erf-based, accurate to
-    machine precision), so its error never limits test tolerances.
+    margins.  The normal CDF comes from the complementary error function
+    (accurate to machine precision), so its error never limits test
+    tolerances.
     """
     if not 0 <= sigma < math.inf:
         raise InvalidInputError(f"sigma must be nonnegative and finite, got {sigma}")
@@ -65,7 +72,7 @@ def gaussian_hinge_expected(margin, sigma: float):
         out = np.maximum(u, 0.0)
         return float(out) if out.ndim == 0 else out
     z = u / sigma
-    out = u * ndtr(z) + sigma * _phi(z)
+    out = u * _normal_cdf(z) + sigma * _phi(z)
     return float(out) if out.ndim == 0 else out
 
 

@@ -133,7 +133,7 @@ class SampleOracle:
         self._sampler = clean_sampler
         self._clean = self._first_draw
         self._nm = nm
-        self._budget = budget
+        self._floor = nm.floor_for(budget)
         self.dim = dim
         self.mode = mode
         self._gen = (rng if rng is not None else RngConfig(0)).stream("sample-oracle")
@@ -162,7 +162,7 @@ class SampleOracle:
             x, y = self._clean(self._gen)
         else:
             x, y = self._x, self._y
-        sd = self._nm.sigma(np.maximum(r, self._nm.floor_for(self._budget)))
+        sd = self._nm.sigma(np.maximum(r, self._floor))
         if self.mode == "correlated":
             delta = self._z * sd
         else:
@@ -173,7 +173,8 @@ class SampleOracle:
 def project_l2_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Rescale onto the L2 ball when outside; identity otherwise."""
     v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
+    flat = v.ravel()
+    norm = math.sqrt(flat @ flat)
     if norm <= radius:
         return v.copy()
     return v * (radius / norm)
@@ -197,7 +198,7 @@ def _run(oracle: SampleOracle, horizon: int, r0: np.ndarray,
         x, y = oracle.measure(r)
         err = float(w @ x - y)
         losses[t - 1] = err * err
-        w_norms[t - 1] = float(np.linalg.norm(w))
+        w_norms[t - 1] = math.sqrt(w @ w)
         allocations[t - 1] = r
         w, r, grad_norms[t - 1] = step(t, w, r, x, err)
     return RegretTrace(losses, w_norms, allocations, grad_norms)
@@ -297,7 +298,7 @@ def run_noisy(oracle: SampleOracle, cfg: OnlineConfig, alloc_rule: AllocRule,
     def step(t, w, r, x, err):
         grad = 2.0 * err * x - nm.sigma_sq(np.maximum(r, floor)) * w
         w = project_l1_ball(w - eta * grad, cap)
-        return w, rule(w), float(np.linalg.norm(grad))
+        return w, rule(w), math.sqrt(grad @ grad)
 
     return _run(oracle, cfg.horizon, np.full(d, R / d), step)
 

@@ -18,6 +18,9 @@ import numpy as np
 from .core import Dataset, NoiseModel, ResourceVector, RngConfig, _as_weights
 from .errors import GridTooLargeError
 
+#: Size of the temporary in one block of the lattice search's min-plus step.
+_BLOCK_BYTES = 8 * 2**20
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -86,14 +89,19 @@ def grid_alloc_search(w, nm: NoiseModel, R: float,
         return ResourceVector(np.array([spec.budget]), spec.budget)
 
     # best[k][m]: minimal cost of spending exactly m lattice units on
-    # features k..d-1 (computed back to front)
+    # features k..d-1 (computed back to front).  Row m of the window over
+    # best[k + 1] padded with n leading infs, plus costs[k] reversed, holds
+    # costs[k][j] + best[k + 1][m - j] at column n - j for every j <= m and
+    # inf beyond; rows go in blocks of about _BLOCK_BYTES.
     best = np.zeros((d, n + 1))
     best[d - 1] = costs[d - 1]
+    rows = max(1, _BLOCK_BYTES // (8 * (n + 1)))
     for k in range(d - 2, 0, -1):
-        nxt = best[k + 1]
-        ck = costs[k]
-        for m in range(n + 1):
-            best[k][m] = np.min(ck[: m + 1] + nxt[m::-1])
+        window = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate((np.full(n, np.inf), best[k + 1])), n + 1)
+        reversed_cost = costs[k][::-1]
+        for m in range(0, n + 1, rows):
+            best[k, m:m + rows] = (window[m:m + rows] + reversed_cost).min(axis=1)
     alloc = np.zeros(d, dtype=int)
     m = n
     for k in range(d - 1):

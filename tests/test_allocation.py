@@ -234,6 +234,13 @@ class TestQuantization:
         with pytest.raises(BudgetTooSmallError):
             allocate_quantization(np.ones(3), 2.0)
 
+    @pytest.mark.parametrize("R", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_budget_rejected(self, R):
+        # the same error as allocate_waterfill; a NaN budget once reached an
+        # empty index and raised numpy's IndexError
+        with pytest.raises(InfeasibleSetError):
+            allocate_quantization([1.0, 2.0], R)
+
     def test_zero_weight_excluded(self):
         res = allocate_quantization(np.array([2.0, 0.0]), 5.0)
         assert res.r.alloc[1] == 1.0

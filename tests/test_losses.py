@@ -107,6 +107,16 @@ class TestGaussianHinge:
         out = gaussian_hinge_expected(np.array([0.0, 1.0]), 1.0)
         assert out.shape == (2,)
 
+    @pytest.mark.parametrize("sigma", np.geomspace(1e-6, 30.0, 15))
+    def test_matches_the_ndtr_form(self, sigma):
+        ndtr = pytest.importorskip("scipy.special").ndtr
+        margins = 1.0 - sigma * np.linspace(-40.0, 40.0, 1601)
+        u = 1.0 - margins
+        z = u / sigma
+        ref = u * ndtr(z) + sigma * INV_SQRT_2PI * np.exp(-0.5 * z * z)
+        got = gaussian_hinge_expected(margins, sigma)
+        assert np.all(np.abs(got - ref) <= 1e-15 * (np.abs(u) + sigma))
+
 
 class TestRobustHinge:
     def test_zero_classifier_counts_every_sample(self, small_ds, inverse_sqrt):

@@ -18,6 +18,7 @@ from sensealloc import (
     square_loss_total,
 )
 from sensealloc.errors import GridTooLargeError
+from sensealloc.oracles import _sigma_sq_feature
 
 
 class TestGridSearch:
@@ -46,6 +47,36 @@ class TestGridSearch:
         out = grid_alloc_search(np.array([2.0, 1.0, 0.5]), quantization, 6.0,
                                 GridSpec(budget=6.0, resolution=0.01))
         assert out.alloc.sum() == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("family", ["inverse", "inverse_sqrt", "quantization", "tabulated"])
+    def test_matches_full_enumeration(self, d, family, request):
+        """Every lattice point scored with the search's own costs, summed in
+        its order c_0 + (c_1 + (... + c_{d-1})); the first minimizer in
+        lexicographic order must be the search's answer."""
+        nm = request.getfixturevalue(family)
+        rng = np.random.default_rng(d)
+        for trial in range(6):
+            n = int(rng.integers(36, 45))
+            w = rng.uniform(0.3, 3.0, d) * rng.choice([-1.0, 1.0], d)
+            if trial == 1:
+                w[:] = 1.0  # equal weights: symmetric ties
+            if trial == 2:
+                w[-1] = 0.0
+            R = float(rng.uniform(0.5, 4.0)) * d
+            out = grid_alloc_search(w, nm, R, GridSpec(budget=R, resolution=R / n))
+            levels = (R / n) * np.arange(n + 1)
+            costs = [np.zeros(n + 1) if w[i] == 0.0 else w[i] ** 2 * _sigma_sq_feature(nm, i, levels)
+                     for i in range(d)]
+            ks = np.stack(np.meshgrid(*[np.arange(n + 1)] * (d - 1), indexing="ij"), -1)
+            ks = ks.reshape(-1, d - 1)
+            ks = ks[ks.sum(axis=1) <= n]  # lexicographic order is kept
+            ks = np.column_stack((ks, n - ks.sum(axis=1)))
+            total = costs[d - 1][ks[:, d - 1]]
+            for i in range(d - 2, -1, -1):
+                total = costs[i][ks[:, i]] + total
+            best = ks[int(np.flatnonzero(total == total.min())[0])]
+            np.testing.assert_array_equal(out.alloc, levels[best])
 
 
 class TestMonteCarloLoss:
