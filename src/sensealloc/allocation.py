@@ -171,7 +171,8 @@ def allocate_adversarial(w, nm: NoiseModel, R: float) -> AllocationResult:
     The adversary's best response value sup w.delta equals
     sqrt(sum w_i^2 sigma_i^2(r_i)), so shaping the ellipsoid optimally is the
     same separable problem as the stochastic case and shares its stationarity
-    condition w_i^2 sigma_i sigma_i' = const across funded features.
+    condition w_i^2 sigma_i sigma_i' = const across funded features, so it is
+    ``allocate_waterfill`` itself.  No library code calls it any more.
     """
     return allocate_waterfill(w, nm, R)
 

@@ -24,7 +24,7 @@ from .core import (
     _brentq,
     generate_synthetic,
 )
-from .errors import DegenerateClassifierError, UnattainableLossError
+from .errors import DegenerateClassifierError, InvalidInputError, UnattainableLossError
 from .losses import square_loss_total
 
 
@@ -65,7 +65,7 @@ def equal_loss_budget(ds: Dataset, w, b: float, nm: NoiseModel, target_loss: flo
     are unattainable at any budget.
     """
     if rule not in ("uniform", "optimal"):
-        raise ValueError(f"unknown allocation rule {rule!r}")
+        raise InvalidInputError(f"unknown allocation rule {rule!r}")
     weights = _as_weights(w)
     d = weights.shape[0]
     floor = square_loss_total(ds, weights, b, ResourceVector.uniform(1.0, d), nm).data_term

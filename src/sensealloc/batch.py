@@ -1,22 +1,22 @@
 """Joint batch optimization of (classifier, allocation).
 
-Both solvers alternate exact or monotone half-steps on the same objective:
-the square-loss path pairs a generalized-ridge solve in (w, b) with the
-water-filling allocation, and the adversarial-hinge path pairs subgradient
-descent on the robust objective with the ellipsoid-shaping allocation.  Each
-half-step never increases the joint objective, so the recorded trace is
-nonincreasing up to float dust.
+Both solvers share one alternation, ``_alternate``: refit the classifier at
+fixed allocation, then water-fill the budget for it.  The square-loss path
+refits by a generalized-ridge solve in (w, b), the adversarial-hinge path by
+subgradient descent on the robust objective; the optimal adversarial
+ellipsoid is the same water-fill.  No half-step increases the joint
+objective, so the recorded trace is nonincreasing up to float dust.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
-from .allocation import AllocationResult, allocate_adversarial, allocate_waterfill
+from .allocation import AllocationResult, allocate_waterfill
 from .core import Dataset, LinearClassifier, NoiseModel, ResourceVector
 from .errors import InvalidInputError, RankDeficiencyError
 from .losses import robust_hinge_objective, square_loss_total
@@ -25,7 +25,7 @@ from .losses import robust_hinge_objective, square_loss_total
 @dataclass
 class SolveReport:
     """Solver outcome: final iterate, allocation certificate, and the
-    objective value after every half-step."""
+    objective value at the start and after every half-step."""
 
     classifier: LinearClassifier
     resources: ResourceVector
@@ -65,43 +65,50 @@ def ridge_step(ds: Dataset, r: ResourceVector, nm: NoiseModel) -> LinearClassifi
     return LinearClassifier(beta[:d], float(beta[d]))
 
 
+def _alternate(ds: Dataset, nm: NoiseModel, R: float, clf: LinearClassifier,
+               fit: Callable, objective: Callable, optimize_allocation: bool,
+               tol: float, max_iter: int) -> SolveReport:
+    """From ``clf`` at the uniform allocation, each round sets
+    clf = fit(r, clf) and then, if ``optimize_allocation``, water-fills r for
+    its weights; objective(clf, r) is traced at the start and after every
+    half-step.  Stops as degenerate when the weights vanish, and as converged
+    when a round lowers the trace by at most ``tol`` relative."""
+    r = ResourceVector.uniform(R, ds.n_features)
+    report = SolveReport(classifier=clf, resources=r, allocation=None,
+                         objective_trace=[objective(clf, r)])
+    for it in range(1, max_iter + 1):
+        prev = report.objective_trace[-1]
+        clf = report.classifier = fit(r, clf)
+        report.iterations = it
+        report.objective_trace.append(objective(clf, r))
+        if np.linalg.norm(clf.weights) < 1e-12:
+            report.degenerate = True
+            break
+        if optimize_allocation:
+            report.allocation = allocate_waterfill(clf.weights, nm, R)
+            r = report.resources = report.allocation.r
+            report.objective_trace.append(objective(clf, r))
+        if prev - report.objective_trace[-1] <= tol * max(abs(prev), 1e-12):
+            report.converged = True
+            break
+    return report
+
+
 def solve_square_alternating(ds: Dataset, nm: NoiseModel, R: float,
                              tol: float = 1e-6, max_iter: int = 200) -> SolveReport:
     """Alternate the exact ridge solve and the water-filling allocation until
     the joint square loss stalls.
 
-    Both half-steps are exact minimizations of the same objective, so the
-    trace decreases monotonically and the fixed point satisfies the
-    allocation stationarity conditions (see the residual on the returned
-    allocation).
+    The trace opens with the loss at zero weights.  Both half-steps are exact
+    minimizations of the same objective, so the trace decreases
+    monotonically and the fixed point satisfies the allocation stationarity
+    conditions (see the residual on the returned allocation).
     """
-    d = ds.n_features
-    r = ResourceVector.uniform(R, d)
-    report = SolveReport(
-        classifier=LinearClassifier(np.zeros(d), 0.0),
-        resources=r,
-        allocation=None,
-    )
-    prev = None
-    for it in range(1, max_iter + 1):
-        clf = ridge_step(ds, r, nm)
-        report.classifier = clf
-        report.objective_trace.append(square_loss_total(ds, clf.weights, clf.bias, r, nm).total)
-        report.iterations = it
-        if np.linalg.norm(clf.weights) < 1e-12:
-            report.degenerate = True
-            break
-        ar = allocate_waterfill(clf.weights, nm, R)
-        r = ar.r
-        report.allocation = ar
-        report.resources = r
-        obj = square_loss_total(ds, clf.weights, clf.bias, r, nm).total
-        report.objective_trace.append(obj)
-        if prev is not None and prev - obj <= tol * max(abs(prev), 1e-12):
-            report.converged = True
-            break
-        prev = obj
-    return report
+    return _alternate(
+        ds, nm, R, LinearClassifier(np.zeros(ds.n_features)),
+        lambda r, clf: ridge_step(ds, r, nm),
+        lambda clf, r: square_loss_total(ds, clf.weights, clf.bias, r, nm).total,
+        True, tol, max_iter)
 
 
 def _hinge_problem(X: np.ndarray, y: np.ndarray, sigma_sq: np.ndarray):
@@ -191,7 +198,7 @@ def _hinge_descent(X: np.ndarray, y: np.ndarray, sigma_sq: np.ndarray,
     return best
 
 
-def fit_hinge(ds: Dataset, iters: int = 800) -> LinearClassifier:
+def fit_hinge(ds: Dataset, iters: int = 400) -> LinearClassifier:
     """Plain hinge minimization (no disturbance term); used as the zero-noise
     reference classifier and as the warm start for the robust solver."""
     d = ds.n_features
@@ -205,7 +212,7 @@ def solve_robust_hinge(ds: Dataset, nm: NoiseModel, R: float,
                        optimize_allocation: bool = True,
                        start: Optional[LinearClassifier] = None) -> SolveReport:
     """Adversarial-hinge training: alternate subgradient descent on the
-    worst-case objective at fixed allocation with the exact ellipsoid-shaping
+    worst-case objective at fixed allocation with the exact water-filling
     allocation at fixed classifier.
 
     The alternation starts from ``start``, by default
@@ -218,38 +225,23 @@ def solve_robust_hinge(ds: Dataset, nm: NoiseModel, R: float,
     is an exact minimization, so the recorded trace is nonincreasing.
     """
     if not ds.is_classification():
-        raise ValueError("robust hinge training requires labels in {-1, +1}")
+        raise InvalidInputError("robust hinge training requires labels in {-1, +1}")
     if start is None:
         start = fit_hinge(ds, inner_iters)
     elif start.dim != ds.n_features:
         raise InvalidInputError(f"start has {start.dim} weights for {ds.n_features} features")
-    r = ResourceVector.uniform(R, ds.n_features)
     floor = nm.floor_for(R)
-    w, b = start.weights, start.bias
-    report = SolveReport(classifier=start, resources=r, allocation=None)
-    obj = robust_hinge_objective(ds, w, b, r, nm)
-    report.objective_trace.append(obj)
-    prev_round = obj
-    for it in range(1, max_iter + 1):
+
+    def descend(r: ResourceVector, clf: LinearClassifier) -> LinearClassifier:
         sigma_sq = nm.sigma_sq(np.maximum(r.alloc, floor))
-        w, b, _ = _hinge_descent(ds.features, ds.labels, sigma_sq, w, b, inner_iters)
-        report.classifier = LinearClassifier(w, b)
-        report.objective_trace.append(robust_hinge_objective(ds, w, b, r, nm))
-        report.iterations = it
-        if np.linalg.norm(w) < 1e-12:
-            report.degenerate = True
-            break
-        if optimize_allocation:
-            ar = allocate_adversarial(w, nm, R)
-            r = ar.r
-            report.allocation = ar
-            report.resources = r
-            report.objective_trace.append(robust_hinge_objective(ds, w, b, r, nm))
-        obj = report.objective_trace[-1]
-        if prev_round - obj <= tol * max(abs(prev_round), 1e-12):
-            report.converged = True
-            break
-        prev_round = obj
+        w, b, _ = _hinge_descent(ds.features, ds.labels, sigma_sq, clf.weights, clf.bias,
+                                 inner_iters)
+        return LinearClassifier(w, b)
+
+    report = _alternate(
+        ds, nm, R, start, descend,
+        lambda clf, r: robust_hinge_objective(ds, clf.weights, clf.bias, r, nm),
+        optimize_allocation, tol, max_iter)
     margins = ds.labels * (ds.features @ report.classifier.weights + report.classifier.bias)
     report.separable_warning = bool(np.all(margins >= 1.0 - 1e-12))
     return report

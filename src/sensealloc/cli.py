@@ -17,7 +17,6 @@ import numpy as np
 
 from . import __version__
 from .allocation import (
-    allocate_adversarial,
     allocate_inverse,
     allocate_inverse_sqrt,
     allocate_quantization,
@@ -67,25 +66,18 @@ def _emit(obj, out_path, fmt):
 def cmd_allocate(args) -> int:
     nm = NoiseModel(args.family)
     w = _parse_weights(args.weights)
-    solvers = {
-        "waterfill": lambda: allocate_waterfill(w, nm, args.budget),
-        "adversarial": lambda: allocate_adversarial(w, nm, args.budget),
-    }
-    if args.solver in solvers:
-        result = solvers[args.solver]()
+    if args.solver == "waterfill":
+        result = allocate_waterfill(w, nm, args.budget)
         alloc, lam = result.r.alloc, result.lam
-    elif args.solver == "closed-form":
-        if args.family == "inverse_sqrt":
-            alloc, lam = allocate_inverse_sqrt(w, args.budget).alloc, float("nan")
-        elif args.family == "inverse":
-            alloc, lam = allocate_inverse(w, args.budget).alloc, float("nan")
-        elif args.family == "quantization":
-            result = allocate_quantization(w, args.budget)
-            alloc, lam = result.r.alloc, result.lam
-        else:
-            raise ConfigError(f"no closed form for family {args.family!r}")
+    elif args.family == "inverse_sqrt":
+        alloc, lam = allocate_inverse_sqrt(w, args.budget).alloc, float("nan")
+    elif args.family == "inverse":
+        alloc, lam = allocate_inverse(w, args.budget).alloc, float("nan")
+    elif args.family == "quantization":
+        result = allocate_quantization(w, args.budget)
+        alloc, lam = result.r.alloc, result.lam
     else:
-        raise ConfigError(f"unknown solver {args.solver!r}")
+        raise ConfigError(f"no closed form for family {args.family!r}")
     payload = {
         "family": args.family,
         "budget": args.budget,
@@ -103,20 +95,14 @@ def cmd_allocate(args) -> int:
 def cmd_train_batch(args) -> int:
     ds = generate_synthetic(args.a, args.n, rng=RngConfig(args.seed))
     nm = NoiseModel(args.family)
-    if args.loss == "square":
-        report = solve_square_alternating(ds, nm, args.budget)
-        loss = square_loss_total(ds, report.classifier.weights, report.classifier.bias,
-                                 report.resources, nm)
-        objective = loss.total
-    else:
-        report = solve_robust_hinge(ds, nm, args.budget)
-        objective = report.objective
+    solve = solve_square_alternating if args.loss == "square" else solve_robust_hinge
+    report = solve(ds, nm, args.budget)
     payload = {
         "loss": args.loss,
         "weights": [float(v) for v in report.classifier.weights],
         "bias": report.classifier.bias,
         "allocation": [float(v) for v in report.resources.alloc],
-        "objective": objective,
+        "objective": report.objective,
         "iterations": report.iterations,
         "converged": report.converged,
     }
@@ -237,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, required=True)
     p.add_argument("--family", default="inverse_sqrt")
     p.add_argument("--solver", default="waterfill",
-                   choices=["waterfill", "adversarial", "closed-form"])
+                   choices=["waterfill", "closed-form"])
     p.add_argument("--out", default=None)
     p.add_argument("--format", default="json", choices=["csv", "json"])
     p.set_defaults(fn=cmd_allocate)

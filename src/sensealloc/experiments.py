@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .allocation import allocate_adversarial
+from .allocation import allocate_waterfill
 from .batch import fit_hinge, solve_robust_hinge
 from .core import (
     Dataset,
@@ -34,7 +34,7 @@ from .core import (
     generate_synthetic,
     inject_noise,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, InvalidInputError
 from .online import OnlineConfig, SampleOracle, run_noisy, run_unknown
 
 EXPERIMENT_KINDS = (
@@ -362,15 +362,14 @@ def _classification_rows(cfg: ExperimentConfig, ds: Dataset, nm: NoiseModel) -> 
             train, test = _normalize_split(train, test)
         # the zero-noise fit depends on neither the budget nor the regime: it is
         # the fixed_clf_optimal classifier and the start of every robust solve
-        # (solve_robust_hinge's own default start, at its default inner_iters)
-        clean_clf = fit_hinge(train, iters=400)
+        clean_clf = fit_hinge(train)
         for R in cfg.budgets:
             rep_u = solve_robust_hinge(train, nm, R, optimize_allocation=False,
                                        start=clean_clf)
             rep_j = solve_robust_hinge(train, nm, R, start=clean_clf)
             alloc_uniform = ResourceVector.uniform(R, ds.n_features)
             alloc_joint = rep_j.resources
-            alloc_for_clean = allocate_adversarial(clean_clf.weights, nm, R).r
+            alloc_for_clean = allocate_waterfill(clean_clf.weights, nm, R).r
             regimes = (
                 ("uniform", rep_u.classifier, alloc_uniform),
                 ("optimal", rep_j.classifier, alloc_joint),
@@ -470,7 +469,7 @@ def matched_error_budget(table: ResultTable, rule: str, target: float) -> float:
     interpolation in log-budget between the bracketing grid points."""
     rows = table.for_rule(rule)
     if len(rows) < 2:
-        raise ValueError(f"need at least two grid points for rule {rule!r}")
+        raise InvalidInputError(f"need at least two grid points for rule {rule!r}")
     for lo, hi in zip(rows, rows[1:]):
         e0, e1 = lo.mean_error, hi.mean_error
         if (e0 - target) == 0.0:
@@ -478,7 +477,7 @@ def matched_error_budget(table: ResultTable, rule: str, target: float) -> float:
         if (e0 - target) * (e1 - target) < 0.0 or (e1 - target) == 0.0:
             t = (e0 - target) / (e0 - e1)
             return float(math.exp(math.log(lo.R) + t * (math.log(hi.R) - math.log(lo.R))))
-    raise ValueError(
+    raise InvalidInputError(
         f"error curve for {rule!r} never crosses {target} "
         f"(range {min(r.mean_error for r in rows):.4f}"
         f"..{max(r.mean_error for r in rows):.4f})"
@@ -511,7 +510,7 @@ def ablation_recovery(table: ResultTable) -> float:
         gain_total += total
         gain_alloc += uniform[R] - ablation[R]
     if gain_total == 0.0:
-        raise ValueError("optimal regime never beats uniform on this grid")
+        raise InvalidInputError("optimal regime never beats uniform on this grid")
     return gain_alloc / gain_total
 
 

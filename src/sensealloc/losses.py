@@ -95,7 +95,7 @@ def robust_hinge_objective(ds: Dataset, w, b: float, r: ResourceVector,
     ellipsoid; the second is the total hinge slack on the clean data.
     """
     if not ds.is_classification():
-        raise ValueError("robust hinge objective requires labels in {-1, +1}")
+        raise InvalidInputError("robust hinge objective requires labels in {-1, +1}")
     weights = _as_weights(w)
     support = math.sqrt(noise_variance(weights, r, nm))
     margins = ds.labels * (ds.features @ weights + b)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .allocation import project_l1_ball, simplex_projection_raw
 from .core import FLOOR_FRACTION, NoiseModel, RngConfig
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InfeasibleSetError, InvalidInputError
 
 AllocRule = Union[str, Callable[[np.ndarray], np.ndarray]]
 
@@ -177,6 +177,8 @@ def project_l2_ball(v: np.ndarray, radius: float) -> np.ndarray:
     norm = math.sqrt(flat @ flat)
     if norm <= radius:
         return v.copy()
+    if not radius >= 0:
+        raise InfeasibleSetError(f"cannot project onto an L2 ball of radius {radius}")
     return v * (radius / norm)
 
 

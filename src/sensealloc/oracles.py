@@ -16,7 +16,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .core import Dataset, NoiseModel, ResourceVector, RngConfig, _as_weights
-from .errors import GridTooLargeError
+from .errors import GridTooLargeError, InvalidInputError
 
 #: Size of the temporary in one block of the lattice search's min-plus step.
 _BLOCK_BYTES = 8 * 2**20
@@ -32,8 +32,8 @@ class GridSpec:
     max_points: float = 1e7
 
     def __post_init__(self):
-        if self.resolution <= 0 or self.budget <= 0:
-            raise ValueError("budget and resolution must be positive")
+        if not (self.resolution > 0 and self.budget > 0):
+            raise InvalidInputError("budget and resolution must be positive")
 
 
 def _sigma_sq_feature(nm: NoiseModel, i: int, r: np.ndarray) -> np.ndarray:
@@ -71,7 +71,7 @@ def grid_alloc_search(w, nm: NoiseModel, R: float,
         spec = GridSpec(budget=R, resolution=1e-3 * R)
     n = int(round(spec.budget / spec.resolution))
     if n < 1:
-        raise ValueError("resolution coarser than the budget")
+        raise InvalidInputError("resolution coarser than the budget")
     work = d * (n + 1) ** 2
     if work > spec.max_points:
         raise GridTooLargeError(f"{work} candidate evaluations exceed cap {spec.max_points:g}")
@@ -120,9 +120,9 @@ def mc_expected_loss(ds: Dataset, w, b: float, r: ResourceVector, nm: NoiseModel
     """Monte-Carlo estimate of the expected loss under per-feature Gaussian
     noise with sd sigma_i(r_i); returns (mean, standard error)."""
     if n_draws < 1000:
-        raise ValueError("use at least 1000 draws")
+        raise InvalidInputError("use at least 1000 draws")
     if loss_kind not in ("square", "hinge"):
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
+        raise InvalidInputError(f"unknown loss kind {loss_kind!r}")
     weights = _as_weights(w)
     floor = nm.floor_for(r.budget)
     sd = nm.sigma(np.maximum(r.alloc, floor))

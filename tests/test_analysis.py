@@ -13,7 +13,11 @@ from sensealloc import (
     uniform_optimal_budget_ratio,
     verify_convexity,
 )
-from sensealloc.errors import DegenerateClassifierError, UnattainableLossError
+from sensealloc.errors import (
+    DegenerateClassifierError,
+    InvalidInputError,
+    UnattainableLossError,
+)
 
 
 class TestBudgetRatioFormula:
@@ -88,7 +92,7 @@ class TestEqualLossBudget:
 
     def test_rejects_unknown_rule(self, setup, inverse_sqrt):
         ds, w, floor = setup
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError, match="greedy"):
             equal_loss_budget(ds, w, 0.0, inverse_sqrt, floor + 1.0, "greedy")
 
     def test_ratio_report(self, setup, inverse_sqrt):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sensealloc import (
     Dataset,
@@ -170,7 +171,7 @@ class TestRobustHinge:
 
     def test_rejects_regression_labels(self, inverse_sqrt):
         ds = Dataset(np.ones((3, 2)), np.array([0.1, 0.2, 0.3]))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError, match="labels"):
             solve_robust_hinge(ds, inverse_sqrt, 1.0)
 
 
@@ -220,3 +221,56 @@ def test_hinge_subgradient_matches_finite_differences_and_masked_sum():
         assert g_b == -float(y[active].sum()) / M
         assert f == support + float(np.sum(np.maximum(0.0, 1.0 - margins)))
     assert checked >= 10
+
+
+def _square_instance(seed: int, d: int):
+    """A regression set with unevenly scaled columns and a per-feature noise
+    scale, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(d + 5, 60))
+    X = rng.normal(size=(M, d)) * np.exp(rng.uniform(-1.0, 1.0, d))
+    y = X @ rng.normal(size=d) + rng.normal(0.0, 0.5, M)
+    scale = np.exp(rng.uniform(math.log(0.3), math.log(3.0), d))
+    return X, y, scale
+
+
+_SQUARE_FAMILIES = st.sampled_from(["inverse", "inverse_sqrt", "quantization"])
+_BUDGETS = st.floats(min_value=0.5, max_value=30.0)
+
+
+def _assert_same_solution(got, base, R, perm=None, s=None):
+    """got solves the permuted (perm) or column-rescaled (s) twin of base's
+    problem: same objective and allocation, weights mapped back."""
+    perm = np.arange(base.classifier.dim) if perm is None else perm
+    s = np.ones(base.classifier.dim) if s is None else s
+    assert got.objective == pytest.approx(base.objective, rel=1e-9)
+    np.testing.assert_allclose(got.resources.alloc, base.resources.alloc[perm],
+                               rtol=0, atol=1e-9 * R)
+    w = base.classifier.weights
+    np.testing.assert_allclose(got.classifier.weights * s, w[perm],
+                               rtol=0, atol=1e-9 * np.max(np.abs(w)))
+
+
+@given(_SQUARE_FAMILIES, st.integers(0, 2**32 - 1), st.integers(2, 5), _BUDGETS,
+       st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_square_solver_permutation_equivariance(family, seed, d, R, rnd):
+    X, y, scale = _square_instance(seed, d)
+    perm = np.array(rnd.sample(range(d), d))
+    base = solve_square_alternating(Dataset(X, y), NoiseModel(family, scale=scale), R)
+    got = solve_square_alternating(Dataset(X[:, perm], y),
+                                   NoiseModel(family, scale=scale[perm]), R)
+    _assert_same_solution(got, base, R, perm=perm)
+
+
+@given(_SQUARE_FAMILIES, st.integers(0, 2**32 - 1), st.integers(2, 5), _BUDGETS,
+       st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=5, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_square_solver_feature_rescaling_invariance(family, seed, d, R, exponents):
+    # column j times s_j with noise scale times s_j is the same problem in
+    # w_j * s_j: objective and allocation stay, w_j is divided by s_j
+    X, y, scale = _square_instance(seed, d)
+    s = 10.0 ** np.array(exponents[:d])
+    base = solve_square_alternating(Dataset(X, y), NoiseModel(family, scale=scale), R)
+    got = solve_square_alternating(Dataset(X * s, y), NoiseModel(family, scale=scale * s), R)
+    _assert_same_solution(got, base, R, s=s)

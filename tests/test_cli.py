@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import skin_lines
+from sensealloc import (
+    NoiseModel,
+    ResourceVector,
+    RngConfig,
+    generate_synthetic,
+    square_loss_total,
+)
 from sensealloc.cli import main
 
 
@@ -39,6 +46,26 @@ def test_train_batch(tmp_path):
     payload = json.loads(out.read_text())
     assert len(payload["weights"]) == 3
     assert payload["objective"] > 0
+
+
+def test_train_batch_square_objective_matches_loss(tmp_path):
+    out = tmp_path / "model.json"
+    code = main(["train-batch", "--loss", "square", "--n", "300", "--budget", "6",
+                 "--seed", "4", "--out", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    ds = generate_synthetic(7.0, 300, rng=RngConfig(4))
+    r = ResourceVector(np.array(payload["allocation"]), 6.0)
+    loss = square_loss_total(ds, np.array(payload["weights"]), payload["bias"], r,
+                             NoiseModel("inverse_sqrt"))
+    assert payload["objective"] == loss.total
+
+
+def test_allocate_adversarial_solver_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["allocate", "--weights", "1,7,1", "--budget", "9", "--solver", "adversarial"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_analyze_table(tmp_path):

@@ -20,7 +20,7 @@ from sensealloc import (
 )
 from sensealloc import experiments
 from sensealloc.experiments import RESULT_JSON_SCHEMA, _fold_splits, load_config
-from sensealloc.errors import ConfigError, DataError
+from sensealloc.errors import ConfigError, DataError, InvalidInputError
 
 
 class TestIngestSkin:
@@ -163,7 +163,7 @@ class TestMatchedError:
         t = self.table()
         ratio = resource_ratio(t, 0.15)
         assert ratio > 1.0
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError, match="never crosses"):
             matched_error_budget(t, "uniform", 0.5)
 
     def test_ablation_recovery(self):
@@ -173,6 +173,15 @@ class TestMatchedError:
         gains = [0.08, 0.08, 0.05]
         expected = sum(g - 0.01 for g in gains) / sum(gains)
         assert rec == pytest.approx(expected)
+
+    def test_short_or_flat_tables_raise_package_errors(self):
+        t = self.table()
+        with pytest.raises(InvalidInputError, match="two grid points"):
+            matched_error_budget(ResultTable(rows=t.rows[:3]), "uniform", 0.2)
+        flat = ResultTable(rows=[ResultRow(1.0, rule, 0.2, 0.0, 2)
+                                 for rule in ("uniform", "optimal", "fixed_clf_optimal")])
+        with pytest.raises(InvalidInputError, match="never beats"):
+            ablation_recovery(flat)
 
 
 class TestConfigFile:

@@ -136,7 +136,7 @@ class TestRobustHinge:
 
     def test_rejects_regression_labels(self, inverse_sqrt):
         ds = Dataset(np.ones((3, 2)), np.array([0.5, 1.0, -1.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError, match="labels"):
             robust_hinge_objective(ds, np.ones(2), 0.0,
                                    ResourceVector.uniform(2.0, 2), inverse_sqrt)
 

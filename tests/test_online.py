@@ -393,3 +393,9 @@ def test_l1_projection_survives_cancellation():
     np.testing.assert_array_equal(out, [1.5, -1.5, 0.0])
     out = project_l1_ball(np.array([1e300 * (1 + 1e-15), -1e300, 2.0]), 3.0)
     np.testing.assert_array_equal(out, [3.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("radius", [-1.0, np.nan])
+def test_l2_projection_rejects_bad_radius(radius):
+    with pytest.raises(InfeasibleSetError):
+        project_l2_ball(np.array([3.0, 4.0]), radius)

@@ -17,7 +17,7 @@ from sensealloc import (
     oracle_project_l2,
     square_loss_total,
 )
-from sensealloc.errors import GridTooLargeError
+from sensealloc.errors import GridTooLargeError, InvalidInputError
 from sensealloc.oracles import _sigma_sq_feature
 
 
@@ -115,7 +115,7 @@ class TestMonteCarloLoss:
 
     def test_rejects_tiny_draw_counts(self, inverse_sqrt):
         ds = Dataset(np.ones((2, 1)), np.ones(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError, match="1000 draws"):
             mc_expected_loss(ds, np.ones(1), 0.0, ResourceVector(np.ones(1), 1.0),
                              inverse_sqrt, "square", 10, RngConfig(0))
 
@@ -169,3 +169,19 @@ def test_l1_l2_projection_oracles_basic():
 def test_integer_bits_oracle_prefers_heavy_weights():
     out = oracle_integer_bits(np.array([4.0, 1.0]), 5)
     np.testing.assert_allclose(out, [3.0, 2.0])
+
+
+@pytest.mark.parametrize("budget, resolution", [
+    (3.0, np.nan), (np.nan, 0.1), (3.0, 0.0), (-1.0, 0.1)])
+def test_grid_spec_rejects_bad_values(budget, resolution):
+    with pytest.raises(InvalidInputError, match="positive"):
+        GridSpec(budget=budget, resolution=resolution)
+
+
+def test_oracle_input_errors_are_package_errors(inverse_sqrt):
+    with pytest.raises(InvalidInputError, match="coarser"):
+        grid_alloc_search([1.0, 2.0], inverse_sqrt, 3.0, GridSpec(budget=3.0, resolution=7.0))
+    ds = Dataset(np.ones((2, 1)), np.ones(2))
+    with pytest.raises(InvalidInputError, match="loss kind"):
+        mc_expected_loss(ds, np.ones(1), 0.0, ResourceVector(np.ones(1), 1.0),
+                         inverse_sqrt, "logistic", 1000, RngConfig(0))
