@@ -18,8 +18,6 @@ from .core import (
 from .allocation import (
     AllocationResult,
     allocate_adversarial,
-    allocate_inverse,
-    allocate_inverse_sqrt,
     allocate_quantization,
     allocate_waterfill,
     project_l1_ball,
@@ -66,6 +64,8 @@ from .analysis import (
 )
 from .oracles import (
     GridSpec,
+    allocate_inverse,
+    allocate_inverse_sqrt,
     finite_diff_grad,
     grid_alloc_search,
     mc_ellipsoid_support,

@@ -3,18 +3,19 @@
 Minimizing the aggregate disturbance sqrt(sum_i w_i^2 sigma_i^2(r_i)) over the
 budget simplex is a separable convex problem.  At the optimum every funded
 feature shares a common marginal value -d sigma/d r_i = lambda, and features
-whose marginal at the floor already falls below lambda receive nothing.  The
-solver locates that common level by a root search on its logarithm; each step
-asks the noise model for the resource at which every feature's marginal
-reaches the level (:meth:`NoiseModel.marginal_inverse`, exact for every
-family) and clamps it to the model's :meth:`NoiseModel.bracket`, so no noise
-formula lives in this module.  A tabulated model's marginal jumps at its
-knots, where "reaches the level" means the level lies in the jump; the
-stationarity residual is measured against that subdifferential.  The closed
-forms for the inverse and inverse-sqrt families and the bit budget are
-provided separately and double as cheap cross-checks; integer bits follow
-from the relaxed bits by marginal analysis.  Every :class:`NoiseModel` is
-decreasing and convex once constructed, so no solver checks it again.
+whose marginal at the floor already falls below lambda receive nothing.  A
+per-feature scale c_i enters only as w_i^2 c_i^2, so the water-fill folds it
+into the weights once and solves on the model's unit curve s: a root search
+on the log of the level, each step asking the curve for the resource at which
+every feature's marginal reaches the level (its exact ``marginal_inverse``)
+clamped to [floor, cap], so no noise formula lives in this module.  A
+tabulated curve's marginal jumps at its knots, where "reaches the level"
+means the level lies in the jump; the stationarity residual is measured
+against that subdifferential.  The relaxed bit budget has a closed form, and
+integer bits follow from it by marginal analysis; the closed forms of the
+inverse families are cross-checks in :mod:`sensealloc.oracles`.  Every
+:class:`NoiseModel` is decreasing and convex once constructed, so no solver
+checks it again.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import NoiseModel, ResourceVector, _as_weights, _brentq, noise_variance
+from .core import NoiseModel, ResourceVector, _as_weights, _brentq
 from .errors import (
     BudgetTooSmallError,
     DegenerateClassifierError,
     InfeasibleAllocationError,
     InfeasibleSetError,
-    InvalidNoiseModelError,
 )
 
 
@@ -49,34 +49,27 @@ class AllocationResult:
     residual: float
 
 
-def _neg_dvar(nm: NoiseModel, w2: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Marginal value of resource on the variance objective:
-    g_i(r) = -w_i^2 * d(sigma_i^2)/dr, positive and decreasing in r."""
-    return -w2 * nm.dsigma_sq(r)
-
-
-def _waterfill(weights: np.ndarray, nm: NoiseModel, R: float):
-    """Core root search: returns (allocation, nu) with nu the common marginal
-    of the variance objective sum w_i^2 sigma_i^2."""
+def _waterfill(weights: np.ndarray, curve, floor: float, R: float):
+    """Core root search on the unit curve s: returns (allocation, nu) with nu
+    the common marginal g_i(r) = -w_i^2 d(s^2)/dr of the variance objective
+    sum w_i^2 s^2(r_i), each r_i in [floor, curve.cap]."""
     d = weights.shape[0]
     w2 = weights**2
-    active = w2 > 0.0
-    floor, r_cap = nm.bracket(R)
+    active = weights != 0.0  # also where w2 underflows: such a feature still needs the floor
+    r_cap = curve.cap
     n_active = int(active.sum())
     if floor * n_active >= R:
         raise InfeasibleSetError(
             f"floor {floor:.3g} x {n_active} active features exceeds budget {R:.3g}"
         )
 
-    g_floor = _neg_dvar(nm, w2, np.full(d, floor))
-    g_at_R = -w2 * nm.dsigma_sq_sides(np.full(d, min(float(R), r_cap)))[1]  # from below
+    g_floor = -w2 * curve.dsigma_sq(np.full(d, floor))
+    g_at_R = -w2 * curve.dsigma_sq_sides(np.full(d, min(float(R), r_cap)))[1]  # from below
     nu_hi = float(np.max(g_floor[active])) * 2.0 + 1e-300
     nu_lo = max(float(np.min(g_at_R[active])) * 0.5, 1e-300)
 
-    # the root search evaluates invert many times, so what does not depend
-    # on nu (the scaled active weights of the unit curve) is computed once
-    a = (w2 * nm.scale**2)[active]
-    inverse = nm._curve.marginal_inverse
+    a = w2[active]  # invert runs at every root-search step; a does not depend on nu
+    inverse = curve.marginal_inverse
 
     def invert(nu: float) -> np.ndarray:
         """Solve g_i(r) = nu per active feature, clamped to [floor, r_cap]."""
@@ -105,25 +98,24 @@ def _waterfill(weights: np.ndarray, nm: NoiseModel, R: float):
     nu = math.exp(_brentq(excess, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=500))
     r = invert(nu)
     funded = active & (r > floor * (1.0 + 1e-9))
-    free = funded & ~nm.at_knot(r)  # features pinned at a knot stay on it
+    free = funded & ~curve.at_knot(r)  # features pinned at a knot stay on it
     pool = next(mask for mask in (free, funded, active) if np.any(mask))
     r[pool] += (R - r.sum()) / pool.sum()  # close the residual budget gap exactly
     return r, nu
 
 
-def _result_from(weights: np.ndarray, nm: NoiseModel, R: float, r: np.ndarray,
+def _result_from(weights: np.ndarray, curve, floor: float, R: float, r: np.ndarray,
                  nu: float) -> AllocationResult:
-    floor = nm.floor_for(R)
     clamped = np.maximum(r, floor)
     rv = ResourceVector(r, R)
-    agg = math.sqrt(noise_variance(weights, rv, nm))
     active = weights != 0.0
+    agg = math.sqrt(float(np.sum(weights[active]**2 * curve.sigma(clamped)[active]**2)))
     lam = nu / (2.0 * agg) if agg > 0 else 0.0
     funded_mask = active & (r > floor * (1.0 + 1e-6))
     # funded: distance of lam from the subdifferential [g(r+), g(r-)], which
     # is |g - lam| for the smooth families; at the floor: g(r+) - lam > 0
     marginal = lambda dvar: -weights**2 * dvar / (2.0 * agg) if agg > 0 else np.zeros_like(r)
-    right, left = nm.dsigma_sq_sides(clamped)
+    right, left = curve.dsigma_sq_sides(clamped)
     g = marginal(right)
     dist = np.abs(g - lam) if left is right else np.maximum(g - lam, lam - marginal(left))
     residual = max(float(np.max(dist[funded_mask], initial=0.0)),
@@ -145,23 +137,27 @@ def allocate_waterfill(w, nm: NoiseModel, R: float) -> AllocationResult:
     marginal at the floor is already below the water level stay clamped at
     the floor and are reported outside the funded set.  The search runs to
     machine precision; the result reports its stationarity residual.
-    The solve runs on w / max|w|, so that w^2 neither underflows nor
-    overflows; the allocation does not depend on the scale of w, and lam and
-    the residual scale with it.
+    The model's scale c enters only as w*c, so the solve runs on the unit
+    curve with the weights w*c / max|w*c|; the allocation does not depend
+    on the size of w*c, and lam and the residual scale with it.  w*c is
+    formed as (w / 2^e) * c with 2^e the power of two next to max|w|, so its
+    largest entry stays finite and nonzero, and the division by that entry
+    cancels 2^e exactly.
     """
     weights = _as_weights(w)
     if not 0 < R < math.inf:
         raise InfeasibleSetError(f"budget must be positive and finite, got {R}")
-    if isinstance(nm.scale, np.ndarray) and nm.scale.size not in (1, weights.shape[0]):
-        raise InvalidNoiseModelError(
-            f"{nm.scale.size} scale constants for {weights.shape[0]} features")
-    w_max = float(np.max(np.abs(weights), initial=0.0))
-    if w_max == 0.0:
+    if not np.any(weights):
         raise DegenerateClassifierError("all classifier weights are zero")
-    unit = weights / w_max
-    r, nu = _waterfill(unit, nm, R)
-    res = _result_from(unit, nm, R, r, nu)
-    return replace(res, lam=res.lam * w_max, residual=res.residual * w_max)
+    e = int(np.frexp(np.max(np.abs(weights)))[1])
+    scaled = np.ldexp(weights, -e) * nm._scale_for(weights)
+    w_max = float(np.max(np.abs(scaled)))
+    unit, floor = scaled / w_max, nm.floor_for(R)
+    r, nu = _waterfill(unit, nm._curve, floor, R)
+    res = _result_from(unit, nm._curve, floor, R, r, nu)
+    # lam is inf (numpy warns) where the true value exceeds the float range
+    lam, residual = np.ldexp([res.lam * w_max, res.residual * w_max], e).tolist()
+    return replace(res, lam=lam, residual=residual)
 
 
 def allocate_adversarial(w, nm: NoiseModel, R: float) -> AllocationResult:
@@ -175,24 +171,6 @@ def allocate_adversarial(w, nm: NoiseModel, R: float) -> AllocationResult:
     ``allocate_waterfill`` itself.  No library code calls it any more.
     """
     return allocate_waterfill(w, nm, R)
-
-
-def allocate_inverse_sqrt(w, R: float) -> ResourceVector:
-    """Closed form for sigma_i = c/sqrt(r_i): r_i = R |w_i| / |w|_1."""
-    weights = np.abs(_as_weights(w))
-    total = weights.sum()
-    if total == 0:
-        raise DegenerateClassifierError("all classifier weights are zero")
-    return ResourceVector(R * weights / total, R)
-
-
-def allocate_inverse(w, R: float) -> ResourceVector:
-    """Closed form for sigma_i = c/r_i: r_i = R |w_i|^(2/3) / sum |w_j|^(2/3)."""
-    weights = np.abs(_as_weights(w)) ** (2.0 / 3.0)
-    total = weights.sum()
-    if total == 0:
-        raise DegenerateClassifierError("all classifier weights are zero")
-    return ResourceVector(R * weights / total, R)
 
 
 def allocate_quantization(w, R: float) -> AllocationResult:

@@ -2,7 +2,8 @@
 
 For the square loss with variance-inverse noise, reaching a given loss level
 with a uniform allocation costs exactly d |w|_2^2 / |w|_1^2 times the budget
-the optimal allocation needs.  The numeric budget search below reproduces
+the optimal allocation needs, with w replaced by w*c under a per-feature
+noise scale c.  The numeric budget search below reproduces
 that ratio without using the identity, which makes the two routes a useful
 cross-check on each other.
 """
@@ -14,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .allocation import allocate_inverse_sqrt
+from .allocation import allocate_waterfill
 from .core import (
     Dataset,
     NoiseModel,
@@ -23,6 +24,7 @@ from .core import (
     _as_weights,
     _brentq,
     generate_synthetic,
+    noise_variance,
 )
 from .errors import DegenerateClassifierError, InvalidInputError, UnattainableLossError
 from .losses import square_loss_total
@@ -57,7 +59,7 @@ def uniform_optimal_budget_ratio(w) -> float:
 def equal_loss_budget(ds: Dataset, w, b: float, nm: NoiseModel, target_loss: float,
                       rule: str = "optimal", rtol: float = 1e-6) -> float:
     """Budget R at which the expected square loss hits target_loss under the
-    given allocation rule ("uniform" or "optimal" = weight-proportional).
+    given allocation rule ("uniform", or "optimal" = the water-fill).
 
     The loss is strictly decreasing in R, so the bracket grows geometrically
     from 1e-6 until it straddles the target and a root-finder polishes it to
@@ -77,10 +79,10 @@ def equal_loss_budget(ds: Dataset, w, b: float, nm: NoiseModel, target_loss: flo
     def alloc(R: float) -> ResourceVector:
         if rule == "uniform":
             return ResourceVector.uniform(R, d)
-        return allocate_inverse_sqrt(weights, R)
+        return allocate_waterfill(weights, nm, R).r
 
-    def gap(R: float) -> float:
-        return square_loss_total(ds, weights, b, alloc(R), nm).total - target_loss
+    def gap(R: float) -> float:  # the data term does not depend on R
+        return floor + noise_variance(weights, alloc(R), nm) - target_loss
 
     lo = 1e-6
     while gap(lo) < 0 and lo > 1e-30:
@@ -110,7 +112,7 @@ def budget_ratio_bounds(w_uniform, w_optimal) -> tuple[float, float]:
 def ratio_report(ds: Dataset, w, b: float, nm: NoiseModel,
                  target_loss: Optional[float] = None) -> RatioReport:
     """Run both equal-loss searches for one classifier and compare with the
-    closed-form ratio."""
+    closed-form ratio of the scaled weights w*c."""
     weights = _as_weights(w)
     if target_loss is None:
         floor = square_loss_total(
@@ -120,7 +122,7 @@ def ratio_report(ds: Dataset, w, b: float, nm: NoiseModel,
     r_unif = equal_loss_budget(ds, weights, b, nm, target_loss, "uniform")
     r_opt = equal_loss_budget(ds, weights, b, nm, target_loss, "optimal")
     return RatioReport(
-        theoretical_ratio=uniform_optimal_budget_ratio(weights),
+        theoretical_ratio=uniform_optimal_budget_ratio(weights * nm.scale),
         empirical_ratio=r_unif / r_opt,
     )
 

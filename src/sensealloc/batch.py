@@ -17,7 +17,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .allocation import AllocationResult, allocate_waterfill
-from .core import Dataset, LinearClassifier, NoiseModel, ResourceVector
+from .core import Dataset, LinearClassifier, NoiseModel, ResourceVector, _check_allocated
 from .errors import InvalidInputError, RankDeficiencyError
 from .losses import robust_hinge_objective, square_loss_total
 
@@ -48,6 +48,7 @@ def ridge_step(ds: Dataset, r: ResourceVector, nm: NoiseModel) -> LinearClassifi
     column; the diagonal penalty sigma_i^2 makes the system positive definite
     whenever any noise is present.
     """
+    _check_allocated(ds, r)
     X = ds.features
     y = ds.labels
     M, d = X.shape

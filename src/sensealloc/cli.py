@@ -17,8 +17,6 @@ import numpy as np
 
 from . import __version__
 from .allocation import (
-    allocate_inverse,
-    allocate_inverse_sqrt,
     allocate_quantization,
     allocate_waterfill,
     project_l1_ball,
@@ -36,6 +34,8 @@ from .experiments import (
 )
 from .oracles import (
     GridSpec,
+    allocate_inverse,
+    allocate_inverse_sqrt,
     grid_alloc_search,
     mc_expected_loss,
     oracle_project_l1,

@@ -5,8 +5,9 @@ standard deviation sigma_i(r_i) of the additive disturbance on that feature.
 Every noise model is positive, strictly decreasing, and convex in r (and so
 is sigma_i^2), which is what the allocation solvers rely on: the closed forms
 by construction, a table because it is checked exactly when it is built.
-Solvers see a family only through :class:`NoiseModel`, which scales its unit
-curve.
+A :class:`NoiseModel` is a scale c_i times a unit curve s.  The water-fill
+multiplies c into the weights and works on the unit curve itself; everything
+else sees a family only through :meth:`NoiseModel.sigma`.
 """
 
 from __future__ import annotations
@@ -150,6 +151,12 @@ class ResourceVector:
         return ResourceVector(np.full(d, budget / d), budget)
 
 
+def _check_allocated(ds: Dataset, r: ResourceVector) -> None:
+    """Raise unless r allocates to exactly the features of ds."""
+    if r.dim != ds.n_features:
+        raise InvalidInputError(f"allocation of {r.dim} entries for {ds.n_features} features")
+
+
 def _as_weights(w) -> np.ndarray:
     if isinstance(w, LinearClassifier):
         return w.weights
@@ -229,7 +236,7 @@ class _Closed:
             raise InvalidNoiseModelError("only the tabulated family takes a table")
 
     def dsigma_sq_sides(self, r):
-        return self.dsigma_sq(r), None
+        return (self.dsigma_sq(r),) * 2
 
     @staticmethod
     def at_knot(r):
@@ -378,52 +385,35 @@ class NoiseModel:
         floor = self.floor if self.floor is not None else FLOOR_FRACTION * budget
         return max(floor, self._curve.start)
 
-    def bracket(self, budget: float) -> Tuple[float, float]:
-        """(floor, cap) bounding each feature's resource in a solve at this
-        budget: the floor is at least the table start, the cap is the table
-        end, else inf."""
-        return self.floor_for(budget), self._curve.cap
-
     def feature_scale(self, i: int) -> float:
         c = np.asarray(self.scale, dtype=float)
         return float(c) if c.ndim == 0 else float(c[i])
 
+    def _scale_for(self, x: np.ndarray) -> Union[float, np.ndarray]:
+        """The scale, once it is known to serve the features along the last
+        axis of x: a scalar, or one constant per feature (or a single one)."""
+        if isinstance(self.scale, np.ndarray):
+            d = x.shape[-1] if x.ndim else 1
+            if self.scale.size not in (1, d):
+                raise InvalidNoiseModelError(f"{self.scale.size} scale constants for {d} features")
+        return self.scale
+
     def sigma(self, r: ArrayLike) -> np.ndarray:
-        """sigma_i(r_i) elementwise; inverse families return inf at r = 0."""
-        return self.scale * self._curve.sigma(np.asarray(r, dtype=float))
+        """sigma_i(r_i) elementwise, features along the last axis of r; inverse
+        families return inf at r = 0."""
+        r = np.asarray(r, dtype=float)
+        return self._scale_for(r) * self._curve.sigma(r)
 
     def sigma_sq(self, r: ArrayLike) -> np.ndarray:
         return self.sigma(r) ** 2
-
-    def dsigma_sq(self, r: ArrayLike) -> np.ndarray:
-        """d(sigma_i^2)/dr at r; analytic for the closed forms, the exact
-        right-hand segment derivative for tabulated models (zero where the
-        table is flat)."""
-        return self.scale**2 * self._curve.dsigma_sq(np.asarray(r, dtype=float))
-
-    def dsigma_sq_sides(self, r: ArrayLike):
-        """(right, left) one-sided d(sigma_i^2)/dr at r.  They differ only at
-        the knots of a tabulated model; for the smooth closed forms the
-        derivative is evaluated once and ``left`` is the same array."""
-        right, left = self._curve.dsigma_sq_sides(np.asarray(r, dtype=float))
-        right = self.scale**2 * right
-        return right, right if left is None else self.scale**2 * left
-
-    def at_knot(self, r: ArrayLike) -> np.ndarray:
-        """Elementwise: r is exactly a knot of a tabulated model, where the
-        marginal jumps; never for the smooth closed forms."""
-        return self._curve.at_knot(np.asarray(r, dtype=float))
-
-    def marginal_inverse(self, nu: float, w2: ArrayLike) -> np.ndarray:
-        """Resource at which -w2_i * d(sigma_i^2)/dr equals nu > 0, elementwise;
-        not clamped to :meth:`bracket`."""
-        return self._curve.marginal_inverse(np.asarray(w2, dtype=float) * self.scale**2, nu)
 
 
 def check_allocation_feasible(w, r: ResourceVector, nm: NoiseModel) -> np.ndarray:
     """Return the effective floor-clamped allocation, raising when a feature
     with nonzero weight sits below the evaluation floor."""
     weights = _as_weights(w)
+    if weights.shape[0] != r.dim:
+        raise InvalidInputError(f"{weights.shape[0]} weights for {r.dim} allocated features")
     floor = nm.floor_for(r.budget)
     below = (r.alloc < floor) & (weights != 0.0)
     if np.any(below):
@@ -487,6 +477,7 @@ def inject_noise(ds: Dataset, r: ResourceVector, nm: NoiseModel, scale: float = 
     """
     if scale_mode not in ("sd", "variance"):
         raise InvalidInputError("scale_mode must be 'sd' or 'variance'")
+    _check_allocated(ds, r)
     clamped = np.maximum(r.alloc, nm.floor_for(r.budget))
     sigma = nm.sigma(clamped)
     sd = scale * sigma if scale_mode == "sd" else np.sqrt(scale * sigma)

@@ -177,8 +177,14 @@ def project_l2_ball(v: np.ndarray, radius: float) -> np.ndarray:
     norm = math.sqrt(flat @ flat)
     if norm <= radius:
         return v.copy()
-    if not radius >= 0:
-        raise InfeasibleSetError(f"cannot project onto an L2 ball of radius {radius}")
+    finite = math.isfinite(norm) or bool(np.all(np.isfinite(flat)))  # |v|^2 may overflow
+    if not (finite and radius >= 0):
+        raise InfeasibleSetError(f"cannot project a point with |v|_2 = {norm} "
+                                 f"onto an L2 ball of radius {radius}")
+    if norm == math.inf:  # |v|^2 overflowed: v / max|v| points the same way
+        v = v / np.max(np.abs(flat))
+        flat = v.ravel()
+        norm = math.sqrt(flat @ flat)
     return v * (radius / norm)
 
 

@@ -1,9 +1,10 @@
-"""Independent brute-force and Monte-Carlo oracles.
+"""Independent closed-form, brute-force and Monte-Carlo oracles.
 
-Everything here validates solver output through a separate route: lattice
-minimization instead of marginal bisection, sampling instead of closed forms,
-active-set enumeration instead of sort-and-threshold.  The oracles are slow
-on purpose and guarded by explicit size caps.
+Everything here validates solver output through a separate route: the
+closed-form allocations of the inverse and inverse-sqrt families and lattice
+minimization instead of the water-fill's root search, sampling instead of
+closed forms, active-set enumeration instead of sort-and-threshold.  The
+search oracles are slow on purpose and guarded by explicit size caps.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .core import Dataset, NoiseModel, ResourceVector, RngConfig, _as_weights
-from .errors import GridTooLargeError, InvalidInputError
+from .errors import DegenerateClassifierError, GridTooLargeError, InvalidInputError
 
 #: Size of the temporary in one block of the lattice search's min-plus step.
 _BLOCK_BYTES = 8 * 2**20
@@ -34,6 +35,24 @@ class GridSpec:
     def __post_init__(self):
         if not (self.resolution > 0 and self.budget > 0):
             raise InvalidInputError("budget and resolution must be positive")
+
+
+def allocate_inverse_sqrt(w, R: float) -> ResourceVector:
+    """Closed form for sigma_i = c/sqrt(r_i): r_i = R |w_i| / |w|_1."""
+    weights = np.abs(_as_weights(w))
+    total = weights.sum()
+    if total == 0:
+        raise DegenerateClassifierError("all classifier weights are zero")
+    return ResourceVector(R * weights / total, R)
+
+
+def allocate_inverse(w, R: float) -> ResourceVector:
+    """Closed form for sigma_i = c/r_i: r_i = R |w_i|^(2/3) / sum |w_j|^(2/3)."""
+    weights = np.abs(_as_weights(w)) ** (2.0 / 3.0)
+    total = weights.sum()
+    if total == 0:
+        raise DegenerateClassifierError("all classifier weights are zero")
+    return ResourceVector(R * weights / total, R)
 
 
 def _sigma_sq_feature(nm: NoiseModel, i: int, r: np.ndarray) -> np.ndarray:

@@ -196,9 +196,11 @@ def test_vector_scale_matches_rescaled_weights(family, wlist, tabulated):
     w = np.array(wlist)
     got = allocate_waterfill(w, NoiseModel(family, scale=c, **extra), 6.0)
     ref = allocate_waterfill(w * c, NoiseModel(family, **extra), 6.0)
-    np.testing.assert_allclose(got.r.alloc, ref.r.alloc, rtol=1e-9)
-    assert got.lam == pytest.approx(ref.lam, rel=1e-9)
+    np.testing.assert_array_equal(got.r.alloc, ref.r.alloc)
+    assert got.lam == ref.lam
+    assert got.residual == ref.residual
     assert got.residual < 1e-6
+    np.testing.assert_array_equal(got.funded, ref.funded)
 
 
 def test_closed_forms_agree_with_waterfill():
@@ -427,6 +429,32 @@ def test_non_finite_weights_rejected(solve, bad):
 def test_waterfill_rejects_bad_budget(inverse_sqrt, R):
     with pytest.raises(InfeasibleSetError):
         allocate_waterfill([1.0, 2.0], inverse_sqrt, R)
+
+
+@pytest.mark.parametrize("family", FAMILIES + ["tabulated"])
+def test_waterfill_keeps_a_negligible_weight_at_the_floor(family, tabulated):
+    """A nonzero weight whose square underflows still needs the floor, or the
+    allocation is infeasible for its own weights."""
+    nm = tabulated if family == "tabulated" else NoiseModel(family)
+    w = np.array([1e-200, 1.0])
+    res = allocate_waterfill(w, nm, 3.0)
+    assert res.r.alloc[0] == nm.floor_for(3.0)
+    assert sigma_aggregate(w, res.r, nm) > 0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("k, c", [(1000, 1e10), (-1000, 1e-100)])
+def test_waterfill_solves_scaled_weights_past_the_float_range(family, k, c):
+    """w*c may overflow or underflow: the allocation of w*2^k is that of w,
+    and lam and the residual are 2^k times theirs (inf or 0 past the range)."""
+    nm = NoiseModel(family, scale=c)
+    w = np.array([0.8, -1.5, 2.2])
+    ref = allocate_waterfill(w, nm, 6.0)
+    with np.errstate(over="ignore", under="ignore"):
+        got = allocate_waterfill(np.ldexp(w, k), nm, 6.0)
+        lam, residual = np.ldexp([ref.lam, ref.residual], k)
+    np.testing.assert_array_equal(got.r.alloc, ref.r.alloc)
+    assert got.lam == lam and got.residual == residual
 
 
 def test_waterfill_rejects_scale_length_mismatch():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sensealloc import (
+    NoiseModel,
     RngConfig,
     budget_ratio_bounds,
     divider_ratio_formula,
@@ -95,9 +96,11 @@ class TestEqualLossBudget:
         with pytest.raises(InvalidInputError, match="greedy"):
             equal_loss_budget(ds, w, 0.0, inverse_sqrt, floor + 1.0, "greedy")
 
-    def test_ratio_report(self, setup, inverse_sqrt):
+    @pytest.mark.parametrize("scale", [1.0, [1.0, 0.2, 5.0]], ids=["scalar", "vector"])
+    def test_ratio_report(self, setup, scale):
+        """A per-feature scale c is the problem with weights w*c."""
         ds, w, _ = setup
-        rep = ratio_report(ds, w, 0.0, inverse_sqrt)
+        rep = ratio_report(ds, w, 0.0, NoiseModel("inverse_sqrt", scale=scale))
         assert rep.empirical_ratio == pytest.approx(rep.theoretical_ratio, rel=1e-4)
 
 

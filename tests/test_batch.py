@@ -148,17 +148,13 @@ class TestRobustHinge:
         rep = solve_robust_hinge(ds, inverse_sqrt, R, inner_iters=3000, max_iter=40,
                                  tol=1e-12)
 
-        best = math.inf
-        for w1 in np.linspace(-3.0, 3.0, 121):
-            for w2 in np.linspace(-3.0, 3.0, 121):
-                w = np.array([w1, w2])
-                if np.abs(w).sum() < 1e-9:
-                    continue
-                # inner allocation is exact for this family
-                support = np.abs(w).sum() / math.sqrt(R)
-                for b in np.linspace(-2.0, 2.0, 81):
-                    margins = y * (X @ w + b)
-                    best = min(best, support + float(np.sum(np.maximum(0, 1 - margins))))
+        axis = np.linspace(-3.0, 3.0, 121)
+        W = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        W = W[np.abs(W).sum(axis=1) >= 1e-9]
+        support = np.abs(W).sum(axis=1) / math.sqrt(R)  # inner allocation is exact here
+        scores = W @ X.T  # one row of sample scores per grid weight
+        best = min(float(np.min(support + np.maximum(0, 1 - y * (scores + b)).sum(axis=1)))
+                   for b in np.linspace(-2.0, 2.0, 81))
         assert abs(rep.objective_trace[-1] - best) <= 0.01 * best
 
     def test_separable_warning(self, inverse_sqrt):

@@ -12,11 +12,19 @@ from sensealloc import (
     Dataset,
     LinearClassifier,
     NoiseModel,
+    OnlineConfig,
     ResourceVector,
     RngConfig,
+    SampleOracle,
     generate_synthetic,
     inject_noise,
+    noise_variance,
+    ridge_step,
+    robust_hinge_objective,
+    run_unknown,
     sigma_aggregate,
+    solve_square_alternating,
+    square_loss_total,
     synthetic_label,
 )
 from sensealloc.core import _brentq
@@ -93,6 +101,53 @@ def test_tabulated_vector_scale_validates(tabulated):
     NoiseModel("tabulated", scale=[1.0, 2.0, 0.5], table=tabulated.table, floor=0.01)
 
 
+_DS3 = generate_synthetic(3.0, 20, rng=RngConfig(1))
+_R3 = ResourceVector.uniform(6.0, 3)
+_SIGMA_USERS = {
+    "noise_variance": lambda nm: noise_variance([1.0, -2.0, 0.5], _R3, nm),
+    "inject_noise": lambda nm: inject_noise(_DS3, _R3, nm),
+    "ridge_step": lambda nm: ridge_step(_DS3, _R3, nm),
+    "run_unknown": lambda nm: run_unknown(
+        SampleOracle(lambda gen: (gen.normal(size=3), 1.0), nm, budget=6.0, dim=3),
+        OnlineConfig(weight_cap=2.0, budget=6.0, horizon=3)),
+    "solve_square_alternating": lambda nm: solve_square_alternating(_DS3, nm, 6.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SIGMA_USERS))
+def test_scale_length_checked_wherever_sigma_is_evaluated(entry):
+    """A vector scale needs one constant per feature; one of length 1 or 3
+    serves 3 features, one of length 2 is a package error, not a broadcast
+    failure."""
+    for scale in ([2.0], [1.0, 2.0, 0.5]):
+        _SIGMA_USERS[entry](NoiseModel("inverse_sqrt", scale=scale))
+    with pytest.raises(InvalidNoiseModelError, match="2 scale constants for 3 features"):
+        _SIGMA_USERS[entry](NoiseModel("inverse_sqrt", scale=[1.0, 2.0]))
+
+
+def test_sigma_checks_the_scale_against_the_last_axis():
+    nm = NoiseModel("inverse", scale=[1.0, 2.0, 0.5])
+    np.testing.assert_array_equal(nm.sigma(np.ones((4, 3))), np.tile([1.0, 2.0, 0.5], (4, 1)))
+    with pytest.raises(InvalidNoiseModelError, match="3 scale constants for 4 features"):
+        nm.sigma(np.ones((3, 4)))
+
+
+_COUNT_MISMATCHES = {
+    "noise_variance": lambda nm: noise_variance([1.0, 2.0], _R3, nm),
+    "square_loss_total": lambda nm: square_loss_total(_DS3, [1.0, 2.0], 0.0, _R3, nm),
+    "robust_hinge_objective": lambda nm: robust_hinge_objective(_DS3, [1.0, 2.0], 0.0, _R3, nm),
+    "inject_noise": lambda nm: inject_noise(_DS3, ResourceVector.uniform(6.0, 2), nm),
+    "ridge_step": lambda nm: ridge_step(_DS3, ResourceVector.uniform(6.0, 2), nm),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_COUNT_MISMATCHES))
+def test_feature_count_mismatch_rejected(entry, inverse_sqrt):
+    """Weights, allocation and dataset must agree on the number of features."""
+    with pytest.raises(InvalidInputError, match="features"):
+        _COUNT_MISMATCHES[entry](inverse_sqrt)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"scale": np.nan}, {"scale": np.inf}, {"scale": [1.0, np.inf]}, {"scale": [np.nan, 1.0]},
     {"floor": np.nan}, {"floor": np.inf}, {"floor": 0.0}, {"floor": -1.0},
@@ -120,18 +175,18 @@ ROUND_TRIP_MODELS = [
 @settings(max_examples=120, deadline=None)
 def test_marginal_inverse_round_trip(nm, wlist, log_nu):
     """The level nu lies in the subdifferential [g(r+), g(r-)] of the
-    marginal g = -w^2 dsigma^2/dr at the inverted resource, wherever the
-    inverse lands strictly inside the solver's bracket.  For the smooth
-    families g(r+) = g(r-) and this is g(r) = nu; a tabulated model's g jumps
-    at the knots, where the inverse may land."""
-    w2 = np.array(wlist) ** 2
+    marginal g = -a ds^2/dr, a = w^2 c^2 on the unit curve s, at the inverted
+    resource, wherever the inverse lands strictly inside the solver's bracket
+    [floor, cap].  For the smooth families g(r+) = g(r-) and this is
+    g(r) = nu; a tabulated model's g jumps at the knots, where the inverse may
+    land."""
+    a = np.array(wlist) ** 2 * nm.scale**2
     nu = 10.0**log_nu
-    r = nm.marginal_inverse(nu, w2)
-    floor, cap = nm.bracket(10.0)
-    inside = (r > floor) & (r < cap)
-    right, left = nm.dsigma_sq_sides(r)
-    assert np.all(-w2[inside] * right[inside] <= nu * (1 + 1e-8))
-    assert np.all(-w2[inside] * left[inside] >= nu * (1 - 1e-8))
+    r = nm._curve.marginal_inverse(a, nu)
+    inside = (r > nm.floor_for(10.0)) & (r < nm._curve.cap)
+    right, left = nm._curve.dsigma_sq_sides(r)
+    assert np.all(-a[inside] * right[inside] <= nu * (1 + 1e-8))
+    assert np.all(-a[inside] * left[inside] >= nu * (1 - 1e-8))
 
 
 def _polyline(knots, slopes, start):
@@ -144,11 +199,12 @@ def test_tabulated_inverse_on_a_single_segment():
     # s = 2 - (r - 1)/2 on [1, 4], so the unit marginal -d(s^2)/dr is s itself
     nm = NoiseModel("tabulated", table=_polyline([1.0, 4.0], [-0.5], 2.0), floor=1.0)
     np.testing.assert_array_equal(nm._curve.marginals, [2.0, 0.5])
-    np.testing.assert_allclose(nm.marginal_inverse(1.0, [1.0, 0.8, 1.6]), [3.0, 2.5, 3.75],
-                               rtol=1e-15)
-    np.testing.assert_array_equal(nm.dsigma_sq(np.array([0.5, 1.0, 3.0, 4.0, 5.0])),
+    curve = nm._curve
+    np.testing.assert_allclose(curve.marginal_inverse(np.array([1.0, 0.8, 1.6]), 1.0),
+                               [3.0, 2.5, 3.75], rtol=1e-15)
+    np.testing.assert_array_equal(curve.dsigma_sq(np.array([0.5, 1.0, 3.0, 4.0, 5.0])),
                                   [0.0, -2.0, -1.0, 0.0, 0.0])
-    np.testing.assert_array_equal(nm.dsigma_sq_sides(np.array([1.0, 4.0]))[1], [0.0, -0.5])
+    np.testing.assert_array_equal(curve.dsigma_sq_sides(np.array([1.0, 4.0]))[1], [0.0, -0.5])
 
 
 def test_tabulated_inverse_beyond_the_table_ends():
@@ -158,15 +214,15 @@ def test_tabulated_inverse_beyond_the_table_ends():
     # marginals: [4, 2] on the first segment, [0.8, 0.48] on the second
     np.testing.assert_allclose(nm._curve.marginals, [4.0, 2.0, 0.8, 0.48], rtol=1e-14)
     w2 = np.array([1.0, 0.25, 1e-300, 0.0, 10.0, 2.0])
-    np.testing.assert_allclose(nm.marginal_inverse(1.0, w2), [2.0, 0.0, 0.0, 0.0, 3.0, 2.9375],
-                               rtol=1e-14)
-    np.testing.assert_array_equal(nm.marginal_inverse(4.0, [1.0]), [0.0])
+    np.testing.assert_allclose(nm._curve.marginal_inverse(w2, 1.0),
+                               [2.0, 0.0, 0.0, 0.0, 3.0, 2.9375], rtol=1e-14)
+    np.testing.assert_array_equal(nm._curve.marginal_inverse(np.array([1.0]), 4.0), [0.0])
 
 
 def test_tabulated_inverse_returns_the_knot_inside_a_jump():
     nm = NoiseModel("tabulated", table=_polyline([1.0, 2.0, 3.0], [-1.0, -0.4], 2.0))
     nus = np.array([2.0, 1.5, 0.8, 1.999999])
-    r = np.array([nm.marginal_inverse(nu, [1.0])[0] for nu in nus])
+    r = np.array([nm._curve.marginal_inverse(np.array([1.0]), nu)[0] for nu in nus])
     np.testing.assert_array_equal(r, 2.0)
 
 

@@ -395,6 +395,18 @@ def test_l1_projection_survives_cancellation():
     np.testing.assert_array_equal(out, [3.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("v", [[np.nan, 1.0], [np.inf, 1.0], [-np.inf, 0.0]])
+def test_l2_projection_rejects_non_finite_points(v):
+    with pytest.raises(InfeasibleSetError):
+        project_l2_ball(np.array(v), 1.0)
+
+
+def test_l2_projection_of_a_point_whose_square_overflows():
+    with np.errstate(over="ignore"):
+        out = project_l2_ball(np.array([[1e200, 0.0], [-1e200, 0.0]]), 2.0)
+    np.testing.assert_allclose(out, [[math.sqrt(2), 0.0], [-math.sqrt(2), 0.0]], rtol=1e-15)
+
+
 @pytest.mark.parametrize("radius", [-1.0, np.nan])
 def test_l2_projection_rejects_bad_radius(radius):
     with pytest.raises(InfeasibleSetError):
