@@ -5,17 +5,17 @@ budget simplex is a separable convex problem.  At the optimum every funded
 feature shares a common marginal value -d sigma/d r_i = lambda, and features
 whose marginal at the floor already falls below lambda receive nothing.  A
 per-feature scale c_i enters only as w_i^2 c_i^2, so the water-fill folds it
-into the weights once and solves on the model's unit curve s: a root search
-on the log of the level, each step asking the curve for the resource at which
-every feature's marginal reaches the level (its exact ``marginal_inverse``)
-clamped to [floor, cap], so no noise formula lives in this module.  A
-tabulated curve's marginal jumps at its knots, where "reaches the level"
-means the level lies in the jump; the stationarity residual is measured
-against that subdifferential.  The relaxed bit budget has a closed form, and
-integer bits follow from it by marginal analysis; the closed forms of the
-inverse families are cross-checks in :mod:`sensealloc.oracles`.  Every
-:class:`NoiseModel` is decreasing and convex once constructed, so no solver
-checks it again.
+into the weights once and solves on the model's unit curve s, whose
+``pieces`` state every feature's optimal resource as linear pieces in one
+level: the budget equation is then a breakpoint problem, which the
+projections' sort-and-threshold kernel solves exactly (Kiwiel 2008), and no
+noise formula lives in this module.  A tabulated marginal jumps at its
+knots, where a feature sits in the gap between two pieces; the stationarity
+residual is measured against that subdifferential.  The relaxed bit budget
+is the same kernel with unit slopes, integer bits follow from it by
+marginal analysis, and the closed forms of the inverse families are
+cross-checks in :mod:`sensealloc.oracles`.  Every :class:`NoiseModel` is
+decreasing and convex once constructed, so no solver checks it again.
 """
 
 from __future__ import annotations
@@ -25,12 +25,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import NoiseModel, ResourceVector, _as_weights, _brentq
+from .core import NoiseModel, ResourceVector, _as_weights
 from .errors import (
     BudgetTooSmallError,
     DegenerateClassifierError,
     InfeasibleAllocationError,
     InfeasibleSetError,
+    InvalidInputError,
 )
 
 
@@ -50,58 +51,31 @@ class AllocationResult:
 
 
 def _waterfill(weights: np.ndarray, curve, floor: float, R: float):
-    """Core root search on the unit curve s: returns (allocation, nu) with nu
+    """Breakpoint search on the unit curve s: returns (allocation, nu) with nu
     the common marginal g_i(r) = -w_i^2 d(s^2)/dr of the variance objective
-    sum w_i^2 s^2(r_i), each r_i in [floor, curve.cap]."""
-    d = weights.shape[0]
-    w2 = weights**2
-    active = weights != 0.0  # also where w2 underflows: such a feature still needs the floor
-    r_cap = curve.cap
+    sum w_i^2 s^2(r_i), each r_i in [floor, curve.cap] unless R exceeds every cap."""
+    active = weights != 0.0  # also where w^2 underflows: such a feature still needs the floor
     n_active = int(active.sum())
     if floor * n_active >= R:
         raise InfeasibleSetError(
             f"floor {floor:.3g} x {n_active} active features exceeds budget {R:.3g}"
         )
-
-    g_floor = -w2 * curve.dsigma_sq(np.full(d, floor))
-    g_at_R = -w2 * curve.dsigma_sq_sides(np.full(d, min(float(R), r_cap)))[1]  # from below
-    nu_hi = float(np.max(g_floor[active])) * 2.0 + 1e-300
-    nu_lo = max(float(np.min(g_at_R[active])) * 0.5, 1e-300)
-
-    a = w2[active]  # invert runs at every root-search step; a does not depend on nu
-    inverse = curve.marginal_inverse
-
-    def invert(nu: float) -> np.ndarray:
-        """Solve g_i(r) = nu per active feature, clamped to [floor, r_cap]."""
-        r = np.zeros(d)
-        r[active] = np.minimum(np.maximum(inverse(a, nu), floor), r_cap)
-        return r
-
-    def excess(log_nu: float) -> float:
-        # summed over all d entries, zeros included: pairwise summation of
-        # the active entries alone would round differently
-        return float(invert(math.exp(log_nu)).sum()) - R
-
-    lo, hi = math.log(nu_lo), math.log(nu_hi)
-    f_lo = excess(lo)
-    for _ in range(200):
-        if f_lo > 0 or n_active * r_cap <= R:
-            break
-        lo -= 2.0
-        f_lo = excess(lo)
-    if f_lo <= 0:
-        # every feature is capped yet the budget is not spent; sigma is flat
-        # beyond the cap, so spread the leftover evenly
-        r = invert(math.exp(lo))
-        r[active] += (R - r.sum()) / n_active
-        return r, math.exp(lo)
-    nu = math.exp(_brentq(excess, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=500))
-    r = invert(nu)
-    funded = active & (r > floor * (1.0 + 1e-9))
-    free = funded & ~curve.at_knot(r)  # features pinned at a knot stay on it
-    pool = next(mask for mask in (free, funded, active) if np.any(mask))
-    r[pool] += (R - r.sum()) / pool.sum()  # close the residual budget gap exactly
-    return r, nu
+    top, bottom, c, lo, hi = curve.pieces(weights[active], floor)
+    v, slopes = top.ravel(), c.ravel()
+    if bottom is not None:  # a piece that ends gives its slope back there
+        v, slopes = np.concatenate((v, bottom.ravel())), np.concatenate((slopes, -slopes))
+    theta = max(_threshold(v, R - n_active * floor, slopes)[0], curve.lowest)
+    rising = top > theta
+    reach = lo + c * (top - theta)
+    r_on = np.where(rising, np.minimum(reach, hi), floor).max(axis=1, initial=floor)
+    inside, funded = np.any(rising & (reach < hi), axis=1), r_on > floor * (1.0 + 1e-9)
+    # close the budget gap (float dust, or the leftover past every cap) where it
+    # moves no feature off a knot, the floor or the cap, if anywhere
+    pool = next(mask for mask in (inside, funded, np.ones_like(inside)) if np.any(mask))
+    r_on[pool] += (R - r_on.sum()) / pool.sum()
+    r = np.zeros(weights.shape[0])
+    r[active] = r_on
+    return r, curve.level(theta)
 
 
 def _result_from(weights: np.ndarray, curve, floor: float, R: float, r: np.ndarray,
@@ -131,12 +105,12 @@ def _result_from(weights: np.ndarray, curve, floor: float, R: float, r: np.ndarr
 def allocate_waterfill(w, nm: NoiseModel, R: float) -> AllocationResult:
     """Optimal allocation for a fixed classifier under a stochastic
     disturbance: minimizes sqrt(sum w_i^2 sigma_i^2(r_i)) over the budget
-    simplex by a root search on the common marginal value.
+    simplex by one breakpoint search for the common marginal value.
 
     Features with w_i = 0 receive nothing; features with nonzero weight whose
     marginal at the floor is already below the water level stay clamped at
-    the floor and are reported outside the funded set.  The search runs to
-    machine precision; the result reports its stationarity residual.
+    the floor and are reported outside the funded set.  The search is exact
+    up to rounding; the result reports its stationarity residual.
     The model's scale c enters only as w*c, so the solve runs on the unit
     curve with the weights w*c / max|w*c|; the allocation does not depend
     on the size of w*c, and lam and the residual scale with it.  w*c is
@@ -176,9 +150,11 @@ def allocate_adversarial(w, nm: NoiseModel, R: float) -> AllocationResult:
 def allocate_quantization(w, R: float) -> AllocationResult:
     """Real-relaxed bit allocation for sigma_i = 2^(-r_i) with r_i >= 1.
 
-    Funded features get r_i = 1 + log2|w_i| - lam where the threshold lam
-    makes the budget balance; everything else (including zero weights) keeps
-    the single mandatory bit.  lam is returned in this log2 convention.
+    Funded features get r_i = 1 + log2|w_i| - lam, where the threshold lam
+    balances the budget: sum max(log2|w_i| - lam, 0) = R - d over nonzero
+    w_i, the projections' kernel with unit slopes.  Everything else
+    (including zero weights) keeps the single mandatory bit.  lam is
+    returned in this log2 convention.
     """
     weights = _as_weights(w)
     d = weights.shape[0]
@@ -191,18 +167,9 @@ def allocate_quantization(w, R: float) -> AllocationResult:
     if nonzero.size == 0:
         return AllocationResult(ResourceVector(r, R), 0.0, np.array([], dtype=int), 0.0)
     logs = np.log2(np.abs(weights[nonzero]))
-    order = np.argsort(-logs, kind="stable")
-    sorted_logs = logs[order]
-    # funding the top k costs sum_{i<=k} (log_i - log_k) extra bits before the
-    # threshold drops below log_k; that cost is 0 at k = 1 and never falls
-    cost = np.cumsum(sorted_logs) - np.arange(1, nonzero.size + 1) * sorted_logs
-    k_star = int(np.flatnonzero(cost <= R - d)[-1]) + 1
-    share = (R - d - cost[k_star - 1]) / k_star  # >= 0, so every funded r_i >= 1
-    lam = float(sorted_logs[k_star - 1] - share)
-    funded_local = order[:k_star]
-    funded = nonzero[funded_local]
-    r[funded] = 1.0 + (logs[funded_local] - sorted_logs[k_star - 1]) + share
-    return AllocationResult(ResourceVector(r, R), lam, np.sort(funded), 0.0)
+    lam, smallest = _threshold(logs, R - d)
+    r[nonzero] = 1.0 + np.maximum(logs - lam, 0.0)
+    return AllocationResult(ResourceVector(r, R), float(lam), nonzero[logs >= smallest], 0.0)
 
 
 def refine_integer_bits(ar: AllocationResult, w, R: float) -> ResourceVector:
@@ -219,6 +186,8 @@ def refine_integer_bits(ar: AllocationResult, w, R: float) -> ResourceVector:
     if not 0 < R < math.inf:
         raise InfeasibleAllocationError(f"budget must be positive and finite, got {R}")
     w2 = _as_weights(w) ** 2
+    if w2.shape[0] != ar.r.dim:
+        raise InvalidInputError(f"{w2.shape[0]} weights for {ar.r.dim} allocated features")
     bits = np.maximum(1.0, np.floor(ar.r.alloc))
     drop = w2 * np.exp2(-2.0 * bits)
     extra = max(0, math.floor(R) - int(bits.sum()))
@@ -226,17 +195,32 @@ def refine_integer_bits(ar: AllocationResult, w, R: float) -> ResourceVector:
     return ResourceVector(bits, R)
 
 
-def _threshold(v: np.ndarray, target: float):
-    """Sort-and-threshold kernel shared by the simplex and L1 projections
-    (Duchi et al. 2008): theta with sum max(v_i - theta, 0) = target, and the
-    smallest entry of v in the support.  The largest entry is always in the
-    support, since cancellation in the cumulative sum can hide it."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    support = u - (css - target) / np.arange(1, v.shape[0] + 1) > 0
-    support[0] = True
-    rho = int(np.nonzero(support)[0].max()) + 1
-    return (css[rho - 1] - target) / rho, u[rho - 1]
+def _threshold(v: np.ndarray, target: float, c: np.ndarray | None = None):
+    """Sort-and-threshold kernel (Duchi et al. 2008; Kiwiel 2008): theta with
+    F(theta) = sum c_i max(v_i - theta, 0) = target, and the smallest entry of
+    v in the support.  With unit slopes (c None) the largest entry is always
+    in the support, since cancellation in the cumulative sum can hide it.
+    A piece that ends gives its slope back as a negative one, so the support
+    test compares F(v_i) with the target: it holds where the slope sum rounds
+    around 0.  F is flat where that sum is not positive; theta is -inf where
+    F stays below the target."""
+    if c is None:
+        u = np.sort(v)[::-1]
+        css = np.cumsum(u)
+        support = u - (css - target) / np.arange(1, v.shape[0] + 1) > 0
+        support[0] = True
+        rho = int(np.nonzero(support)[0].max()) + 1
+        return (css[rho - 1] - target) / rho, u[rho - 1]
+    order = np.argsort(v)[::-1]
+    u, c = v[order], c[order]
+    slope, area = np.cumsum(c), np.cumsum(c * u)
+    support = np.flatnonzero(area - slope * u < target)  # F(u[0]) = 0: empty only if v is
+    if not support.size:
+        return -math.inf, None
+    rho = int(support[-1])
+    lower = float(u[rho + 1]) if rho + 1 < u.size else -math.inf
+    theta = float(area[rho] - target) / float(slope[rho]) if slope[rho] > 0 else lower
+    return min(max(theta, lower), float(u[rho])), u[rho]
 
 
 def simplex_projection_raw(v: np.ndarray, R: float, floor: float = 0.0) -> np.ndarray:

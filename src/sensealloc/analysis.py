@@ -63,8 +63,8 @@ def equal_loss_budget(ds: Dataset, w, b: float, nm: NoiseModel, target_loss: flo
 
     The loss is strictly decreasing in R, so the bracket grows geometrically
     from 1e-6 until it straddles the target and a root-finder polishes it to
-    relative tolerance rtol.  Targets at or below the clean-data MSE floor
-    are unattainable at any budget.
+    relative tolerance rtol.  Targets at or below the clean-data MSE floor,
+    or met even as R -> 0, have no budget to find.
     """
     if rule not in ("uniform", "optimal"):
         raise InvalidInputError(f"unknown allocation rule {rule!r}")
@@ -84,9 +84,13 @@ def equal_loss_budget(ds: Dataset, w, b: float, nm: NoiseModel, target_loss: flo
     def gap(R: float) -> float:  # the data term does not depend on R
         return floor + noise_variance(weights, alloc(R), nm) - target_loss
 
-    lo = 1e-6
-    while gap(lo) < 0 and lo > 1e-30:
+    lo, gap_lo = 1e-6, gap(1e-6)
+    while gap_lo < 0 and lo > 1e-30:
         lo /= 8.0
+        gap_lo = gap(lo)
+    if gap_lo < 0:
+        raise InvalidInputError(f"target {target_loss:.6g} is met at every budget: the loss "
+                                f"tends to {target_loss + gap_lo:.6g} as R -> 0")
     hi = max(2e-6, 2.0 * lo)
     grow = 0
     while gap(hi) > 0:

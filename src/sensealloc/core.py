@@ -148,6 +148,8 @@ class ResourceVector:
 
     @staticmethod
     def uniform(budget: float, d: int) -> "ResourceVector":
+        if d < 1:
+            raise InvalidInputError(f"a uniform allocation needs at least one feature, got d={d}")
         return ResourceVector(np.full(d, budget / d), budget)
 
 
@@ -226,10 +228,12 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> fl
 
 class _Closed:
     """Closed-form unit curve s, convex by construction: sigma = s(r),
-    dsigma_sq = d(s^2)/dr, marginal_inverse(a, nu) = r where -a d(s^2)/dr = nu.
-    Smooth, so it has no knots and one derivative serves both sides."""
+    dsigma_sq = d(s^2)/dr for both sides.  At a level theta >= ``lowest``,
+    mapped to the marginal nu by ``level``, weight u takes one endless piece
+    r = max(floor, c (offset - theta)) with c = slope(|u|), offset(|u|)."""
 
-    table, start, cap = None, 0.0, math.inf
+    table, start, cap, lowest = None, 0.0, math.inf, -math.inf
+    offset = staticmethod(lambda u: 0.0)
 
     def __init__(self, table):
         if table is not None:
@@ -238,9 +242,11 @@ class _Closed:
     def dsigma_sq_sides(self, r):
         return (self.dsigma_sq(r),) * 2
 
-    @staticmethod
-    def at_knot(r):
-        return np.zeros(np.shape(r), dtype=bool)
+    def pieces(self, u, floor):
+        """(top, bottom, c, lo, hi), one column of pieces; bottom is None."""
+        u = np.abs(u)[:, None]
+        c = self.slope(u)
+        return self.offset(u) - floor / c, None, c, floor, math.inf
 
 
 def _reciprocal(x, positive):
@@ -249,23 +255,27 @@ def _reciprocal(x, positive):
 
 
 class _Inverse(_Closed):
+    """r = |u|^(2/3) tau with tau = -theta, so nu = 2 / tau^3."""
     sigma = staticmethod(lambda r: _reciprocal(r, r > 0))
-
     dsigma_sq = staticmethod(lambda r: -2.0 / r**3)
-    marginal_inverse = staticmethod(lambda a, nu: np.cbrt(2.0 * a / nu))
+    slope = staticmethod(lambda u: np.cbrt(u) ** 2)
+    level = staticmethod(lambda theta: -2.0 / theta / theta / theta)  # theta**3 may overflow
 
 
 class _InverseSqrt(_Closed):
+    """r = |u| tau with tau = -theta = nu^(-1/2)."""
     sigma = staticmethod(lambda r: _reciprocal(np.sqrt(np.maximum(r, 0.0)), r > 0))
     dsigma_sq = staticmethod(lambda r: -1.0 / r**2)
-    marginal_inverse = staticmethod(lambda a, nu: np.sqrt(a / nu))
+    slope = staticmethod(lambda u: u)
+    level = staticmethod(lambda theta: 1.0 / theta / theta)
 
 
 class _Quantization(_Closed):
+    """r = log2|u| - theta with nu = 2 ln2 4^theta."""
     sigma = staticmethod(lambda r: np.exp2(-r))
     dsigma_sq = staticmethod(lambda r: -2.0 * np.log(2.0) * np.exp2(-2.0 * r))
-    marginal_inverse = staticmethod(
-        lambda a, nu: np.log2(np.maximum(2.0 * math.log(2.0) * a / nu, 1e-300)) / 2.0)
+    slope, offset = staticmethod(np.ones_like), staticmethod(np.log2)
+    level = staticmethod(lambda theta: 2.0 * math.log(2.0) * 4.0**theta)
 
 
 class _Tabulated:
@@ -277,7 +287,14 @@ class _Tabulated:
     [h(r_0+), h(r_1-), h(r_1+), ..., h(r_n-)]; for positive, strictly
     decreasing s they never rise exactly when s is convex at every knot
     (m_{k-1} <= m_k), the whole admissibility of a piecewise-linear table.
+
+    The level theta of ``pieces`` is nu itself, at least 0.  Weight u has a
+    piece per segment above the floor: r = r_k + (u^2 h(r_k+) - theta) /
+    (2 u^2 m_k^2) for theta from u^2 h(r_k+) down to u^2 h(r_{k+1}-).  A knot's
+    jump is the gap between two pieces; nothing lies past the cap.
     """
+
+    lowest, level = 0.0, staticmethod(lambda theta: theta)
 
     def __init__(self, table):
         if table is None:
@@ -301,7 +318,6 @@ class _Tabulated:
         if np.any(np.diff(self.marginals) > 1e-9 * self.marginals[:-1]):
             raise InvalidNoiseModelError("table marginal rises at a knot: not decreasing "
                                          "and convex")
-        self._rising = -self.marginals
 
     def sigma(self, r):
         return np.interp(r, *self.table)
@@ -314,23 +330,16 @@ class _Tabulated:
     def dsigma_sq_sides(self, r):
         return self.dsigma_sq(r), self.dsigma_sq(r, "left")
 
-    def at_knot(self, r):
-        return self.knots[np.minimum(np.searchsorted(self.knots, r), self.knots.size - 1)] == r
-
-    def marginal_inverse(self, a, nu):
-        """One search of nu/a in ``marginals``: inside a segment solve the
-        linear h(r) = nu/a, inside a jump return its knot; 0 where the marginal
-        at the table start is at most nu/a, the table end where it still is
-        at least nu/a."""
-        with np.errstate(divide="ignore"):
-            t = nu / a
-        i = np.clip(np.searchsorted(self._rising, -t) - 1, 0, self._rising.size - 2)
-        k = i // 2  # marginals[i] > t >= marginals[i + 1]: segment k if i is even, else knot k + 1
-        m, (r_grid, s_grid) = self._slopes[k], self.table
-        with np.errstate(divide="ignore", invalid="ignore"):
-            seg = np.clip(r_grid[k] + (-0.5 * t / m - s_grid[k]) / m, r_grid[k], r_grid[k + 1])
-        r = np.where(i % 2 == 1, r_grid[k + 1], seg)
-        return np.where(t >= self.marginals[0], 0.0, np.where(t <= self.marginals[-1], self.cap, r))
+    def pieces(self, u, floor):
+        """(top, bottom, c, lo, hi) of the pieces above the floor, one row per
+        feature.  A weight too small for its slopes (and their sums) to stay
+        finite gets slope 0: its marginal is 0 to working precision."""
+        k = int(np.searchsorted(self.knots, floor, side="right")) - 1  # the floor's segment
+        lo, half_dr = np.maximum(self.knots[k:-1], floor), 0.5 / self._slopes[k:] ** 2
+        a = (u * u)[:, None]
+        a = np.where(a * (np.finfo(float).max * 2.0**-60) >= half_dr.max(initial=0.0), a, 0.0)
+        c = np.divide(half_dr, a, out=np.zeros((a.shape[0], half_dr.size)), where=a > 0)
+        return -a * self.dsigma_sq(lo), a * self.marginals[2 * k + 1::2], c, lo, self.knots[k + 1:]
 
 
 #: Unit curve of each family, built from the model's table; the keys are the

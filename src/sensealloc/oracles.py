@@ -2,7 +2,7 @@
 
 Everything here validates solver output through a separate route: the
 closed-form allocations of the inverse and inverse-sqrt families and lattice
-minimization instead of the water-fill's root search, sampling instead of
+minimization instead of the water-fill's breakpoint search, sampling instead of
 closed forms, active-set enumeration instead of sort-and-threshold.  The
 search oracles are slow on purpose and guarded by explicit size caps.
 """

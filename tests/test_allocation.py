@@ -137,6 +137,31 @@ def test_waterfill_tabulated_never_above_grid(tabulated):
         assert res.residual < 1e-12
 
 
+_GEOM = np.geomspace(0.01, 50.0, 400)
+
+
+@pytest.mark.parametrize("table, floor, w, R", [
+    ((_GEOM, 1.0 / np.sqrt(_GEOM)), 0.01, [1.0, 2.0], 120.0),
+    ((np.array([1.0, 4.0]), np.array([2.0, 0.5])), 1.0, [1.0, -0.5], 10.0),
+    ((_GEOM, 1.0 / np.sqrt(_GEOM)), 50.0, [1.0, 2.0], 130.0),
+], ids=["400_knots", "2_knots", "floor_at_cap"])
+def test_waterfill_budget_past_every_cap(table, floor, w, R):
+    """sigma is flat past the table end, so a budget beyond every cap has
+    multiplier 0: lam and the residual are exactly +0 and the leftover is
+    spread evenly.  At R = the sum of the caps the residual is +0 or above."""
+    nm = NoiseModel("tabulated", table=table, floor=floor)
+    cap = float(table[0][-1])
+    res = allocate_waterfill(w, nm, R)
+    np.testing.assert_allclose(res.r.alloc, [R / 2, R / 2], rtol=1e-15)
+    assert (res.lam, res.residual) == (0.0, 0.0)
+    assert math.copysign(1.0, res.lam) == math.copysign(1.0, res.residual) == 1.0
+    if floor >= cap:
+        return
+    full = allocate_waterfill(w, nm, 2 * cap)
+    np.testing.assert_allclose(full.r.alloc, [cap, cap], rtol=1e-15)
+    assert full.residual < 1e-12 and math.copysign(1.0, full.residual) == 1.0
+
+
 def test_closed_form_inverse_sqrt_examples():
     np.testing.assert_allclose(allocate_inverse_sqrt(np.array([1.0, 7.0, 1.0]), 9.0).alloc,
                                [1.0, 7.0, 1.0])
@@ -332,6 +357,11 @@ class TestIntegerRefinement:
         ar = allocate_quantization(np.array([1.0, 2.0]), 5.0)
         with pytest.raises(SenseAllocError):
             refine_integer_bits(ar, np.array([1.0, 2.0]), R)
+
+    def test_weight_length_mismatch_rejected(self):
+        ar = allocate_quantization([1.0, 2.0], 4.0)
+        with pytest.raises(InvalidInputError, match="3 weights"):
+            refine_integer_bits(ar, [1.0, 2.0, 3.0], 4.0)
 
     @pytest.mark.parametrize("d", [20, 200, 10_000])
     def test_large_dimension_spends_floor_budget_with_no_improving_exchange(self, d):

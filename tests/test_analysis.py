@@ -96,6 +96,19 @@ class TestEqualLossBudget:
         with pytest.raises(InvalidInputError, match="greedy"):
             equal_loss_budget(ds, w, 0.0, inverse_sqrt, floor + 1.0, "greedy")
 
+    @pytest.mark.parametrize("rule", ["uniform", "optimal"])
+    def test_target_met_at_every_budget(self, rule):
+        """sigma = 2^-r is at most 1, so the noise term stays below 3 here and
+        a target 3.5 above the data term holds however small R is."""
+        from sensealloc import ResourceVector, square_loss_total
+
+        ds = generate_synthetic(3.0, 400, rng=RngConfig(5))
+        w, nm = np.array([-1.0, -1.0, 1.0]), NoiseModel("quantization")
+        floor = square_loss_total(ds, w, 0.0, ResourceVector.uniform(1.0, 3), nm).data_term
+        with pytest.raises(InvalidInputError, match="met at every budget") as err:
+            equal_loss_budget(ds, w, 0.0, nm, floor + 3.5, rule)
+        assert f"{floor + 3.0:.6g}" in str(err.value)
+
     @pytest.mark.parametrize("scale", [1.0, [1.0, 0.2, 5.0]], ids=["scalar", "vector"])
     def test_ratio_report(self, setup, scale):
         """A per-feature scale c is the problem with weights w*c."""

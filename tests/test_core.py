@@ -36,6 +36,12 @@ from sensealloc.errors import (
 )
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_uniform_allocation_needs_a_feature(d):
+    with pytest.raises(InvalidInputError, match="at least one feature"):
+        ResourceVector.uniform(3.0, d)
+
+
 def test_sigma_aggregate_zero_classifier(inverse_sqrt):
     r = ResourceVector(np.array([1.0, 1.0]), 2.0)
     assert sigma_aggregate(np.zeros(2), r, inverse_sqrt) == 0.0
@@ -167,23 +173,39 @@ ROUND_TRIP_MODELS = [
 ]
 
 
+#: theta at which each family's ``level`` is nu
+_THETA = {"inverse": lambda nu: -np.cbrt(2.0 / nu), "inverse_sqrt": lambda nu: -nu**-0.5,
+          "quantization": lambda nu: math.log(nu / (2.0 * math.log(2.0)), 4.0),
+          "tabulated": lambda nu: nu}
+
+
+def _resource_at(nm, u, nu, floor):
+    """The resource that the pieces of ``nm``'s unit curve give features of
+    unit weight u at the common marginal nu (read as the water-fill does)."""
+    top, _, c, lo, hi = nm._curve.pieces(np.asarray(u, dtype=float), floor)
+    theta = _THETA[nm.family](nu)
+    assert nm._curve.level(theta) == pytest.approx(nu, rel=1e-13)
+    return np.where(top > theta, np.minimum(lo + c * (top - theta), hi), floor).max(axis=1)
+
+
 @given(
     st.sampled_from(ROUND_TRIP_MODELS),
     st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=3, max_size=3),
     st.floats(min_value=-4.0, max_value=4.0),
 )
 @settings(max_examples=120, deadline=None)
-def test_marginal_inverse_round_trip(nm, wlist, log_nu):
+def test_pieces_round_trip(nm, wlist, log_nu):
     """The level nu lies in the subdifferential [g(r+), g(r-)] of the
-    marginal g = -a ds^2/dr, a = w^2 c^2 on the unit curve s, at the inverted
-    resource, wherever the inverse lands strictly inside the solver's bracket
-    [floor, cap].  For the smooth families g(r+) = g(r-) and this is
-    g(r) = nu; a tabulated model's g jumps at the knots, where the inverse may
-    land."""
-    a = np.array(wlist) ** 2 * nm.scale**2
+    marginal g = -a ds^2/dr, a = w^2 c^2 on the unit curve s, at the resource
+    the pieces give, wherever that lands strictly inside [floor, cap].  For
+    the smooth families g(r+) = g(r-) and this is g(r) = nu; a tabulated
+    model's g jumps at the knots, where the pieces may leave a feature."""
+    u = np.array(wlist) * nm.scale
+    a = u**2
     nu = 10.0**log_nu
-    r = nm._curve.marginal_inverse(a, nu)
-    inside = (r > nm.floor_for(10.0)) & (r < nm._curve.cap)
+    floor = nm.floor_for(10.0)
+    r = _resource_at(nm, u, nu, floor)
+    inside = (r > floor) & (r < nm._curve.cap)
     right, left = nm._curve.dsigma_sq_sides(r)
     assert np.all(-a[inside] * right[inside] <= nu * (1 + 1e-8))
     assert np.all(-a[inside] * left[inside] >= nu * (1 - 1e-8))
@@ -195,34 +217,35 @@ def _polyline(knots, slopes, start):
         ([0.0], np.cumsum(np.array(slopes) * np.diff(knots))))
 
 
-def test_tabulated_inverse_on_a_single_segment():
+def test_tabulated_pieces_on_a_single_segment():
     # s = 2 - (r - 1)/2 on [1, 4], so the unit marginal -d(s^2)/dr is s itself
     nm = NoiseModel("tabulated", table=_polyline([1.0, 4.0], [-0.5], 2.0), floor=1.0)
     np.testing.assert_array_equal(nm._curve.marginals, [2.0, 0.5])
     curve = nm._curve
-    np.testing.assert_allclose(curve.marginal_inverse(np.array([1.0, 0.8, 1.6]), 1.0),
+    np.testing.assert_allclose(_resource_at(nm, np.sqrt([1.0, 0.8, 1.6]), 1.0, 1.0),
                                [3.0, 2.5, 3.75], rtol=1e-15)
     np.testing.assert_array_equal(curve.dsigma_sq(np.array([0.5, 1.0, 3.0, 4.0, 5.0])),
                                   [0.0, -2.0, -1.0, 0.0, 0.0])
     np.testing.assert_array_equal(curve.dsigma_sq_sides(np.array([1.0, 4.0]))[1], [0.0, -0.5])
 
 
-def test_tabulated_inverse_beyond_the_table_ends():
-    """0 where even the marginal at the table start is at most nu, the table
-    end where the marginal there still is at least nu."""
+def test_tabulated_pieces_beyond_the_table_ends():
+    """The floor (here the table start) where even the marginal at the table
+    start is at most nu, the table end where the marginal there still is at
+    least nu."""
     nm = NoiseModel("tabulated", table=_polyline([1.0, 2.0, 3.0], [-1.0, -0.4], 2.0))
     # marginals: [4, 2] on the first segment, [0.8, 0.48] on the second
     np.testing.assert_allclose(nm._curve.marginals, [4.0, 2.0, 0.8, 0.48], rtol=1e-14)
-    w2 = np.array([1.0, 0.25, 1e-300, 0.0, 10.0, 2.0])
-    np.testing.assert_allclose(nm._curve.marginal_inverse(w2, 1.0),
-                               [2.0, 0.0, 0.0, 0.0, 3.0, 2.9375], rtol=1e-14)
-    np.testing.assert_array_equal(nm._curve.marginal_inverse(np.array([1.0]), 4.0), [0.0])
+    u = np.sqrt([1.0, 0.25, 1e-300, 0.0, 10.0, 2.0])
+    np.testing.assert_allclose(_resource_at(nm, u, 1.0, 1.0),
+                               [2.0, 1.0, 1.0, 1.0, 3.0, 2.9375], rtol=1e-14)
+    np.testing.assert_array_equal(_resource_at(nm, [1.0], 4.0, 1.0), [1.0])
 
 
-def test_tabulated_inverse_returns_the_knot_inside_a_jump():
+def test_tabulated_pieces_leave_the_knot_inside_a_jump():
     nm = NoiseModel("tabulated", table=_polyline([1.0, 2.0, 3.0], [-1.0, -0.4], 2.0))
     nus = np.array([2.0, 1.5, 0.8, 1.999999])
-    r = np.array([nm._curve.marginal_inverse(np.array([1.0]), nu)[0] for nu in nus])
+    r = np.array([_resource_at(nm, [1.0], nu, 1.0)[0] for nu in nus])
     np.testing.assert_array_equal(r, 2.0)
 
 
