@@ -74,6 +74,7 @@ from .oracles import (
     oracle_project_l1,
     oracle_project_l2,
     oracle_project_simplex,
+    oracle_tabulated_waterfill,
 )
 from .experiments import (
     ExperimentConfig,

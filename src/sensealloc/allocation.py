@@ -9,9 +9,12 @@ into the weights once and solves on the model's unit curve s, whose
 ``pieces`` state every feature's optimal resource as linear pieces in one
 level: the budget equation is then a breakpoint problem, which the
 projections' sort-and-threshold kernel solves exactly (Kiwiel 2008), and no
-noise formula lives in this module.  A tabulated marginal jumps at its
-knots, where a feature sits in the gap between two pieces; the stationarity
-residual is measured against that subdifferential.  The relaxed bit budget
+noise formula lives in this module.  A table brings one piece per segment
+and feature, so its curve first brackets the level and hands over only the
+pieces inside the bracket, with the resource of those spent below it as
+each feature's ``base``.  A tabulated marginal jumps at its knots, where a
+feature sits in the gap between two pieces; the stationarity residual is
+measured against that subdifferential.  The relaxed bit budget
 is the same kernel with unit slopes, integer bits follow from it by
 marginal analysis, and the closed forms of the inverse families are
 cross-checks in :mod:`sensealloc.oracles`.  Every :class:`NoiseModel` is
@@ -53,26 +56,35 @@ class AllocationResult:
 def _waterfill(weights: np.ndarray, curve, floor: float, R: float):
     """Breakpoint search on the unit curve s: returns (allocation, nu) with nu
     the common marginal g_i(r) = -w_i^2 d(s^2)/dr of the variance objective
-    sum w_i^2 s^2(r_i), each r_i in [floor, curve.cap] unless R exceeds every cap."""
+    sum w_i^2 s^2(r_i), each r_i in [floor, curve.cap] unless R exceeds every cap.
+    A feature starts from its ``base`` (the floor, or what its spent pieces hold)."""
     active = weights != 0.0  # also where w^2 underflows: such a feature still needs the floor
     n_active = int(active.sum())
     if floor * n_active >= R:
         raise InfeasibleSetError(
             f"floor {floor:.3g} x {n_active} active features exceeds budget {R:.3g}"
         )
-    top, bottom, c, lo, hi = curve.pieces(weights[active], floor)
+    top, bottom, c, lo, hi, base = curve.pieces(weights[active], floor, R)
     v, slopes = top.ravel(), c.ravel()
     if bottom is not None:  # a piece that ends gives its slope back there
         v, slopes = np.concatenate((v, bottom.ravel())), np.concatenate((slopes, -slopes))
-    theta = max(_threshold(v, R - n_active * floor, slopes)[0], curve.lowest)
+    theta = max(_threshold(v, R - n_active * floor - np.sum(base - floor), slopes)[0],
+                curve.lowest)
     rising = top > theta
     reach = lo + c * (top - theta)
-    r_on = np.where(rising, np.minimum(reach, hi), floor).max(axis=1, initial=floor)
-    inside, funded = np.any(rising & (reach < hi), axis=1), r_on > floor * (1.0 + 1e-9)
-    # close the budget gap (float dust, or the leftover past every cap) where it
-    # moves no feature off a knot, the floor or the cap, if anywhere
-    pool = next(mask for mask in (inside, funded, np.ones_like(inside)) if np.any(mask))
-    r_on[pool] += (R - r_on.sum()) / pool.sum()
+    r_on = np.where(rising, np.minimum(reach, hi), base).max(axis=1, initial=floor)
+    # close the float dust over the features inside a piece by more than the
+    # dust, which it moves off no knot, floor or cap.  With none, every feature
+    # sits where its whole subdifferential holds the level, so the dust stays;
+    # only a budget left over past every cap (the lowest level) is spread.
+    gap = R - r_on.sum()
+    inside = np.any(rising & (lo + abs(gap) < reach) & (reach < hi - abs(gap)), axis=1)
+    if np.any(inside):
+        r_on[inside] += gap / inside.sum()
+    elif gap > 0 and theta == curve.lowest:
+        funded = r_on > floor * (1.0 + 1e-9)
+        pool = funded if np.any(funded) else np.ones_like(funded)
+        r_on[pool] += gap / pool.sum()
     r = np.zeros(weights.shape[0])
     r[active] = r_on
     return r, curve.level(theta)
@@ -92,7 +104,7 @@ def _result_from(weights: np.ndarray, curve, floor: float, R: float, r: np.ndarr
     right, left = curve.dsigma_sq_sides(clamped)
     g = marginal(right)
     dist = np.abs(g - lam) if left is right else np.maximum(g - lam, lam - marginal(left))
-    residual = max(float(np.max(dist[funded_mask], initial=0.0)),
+    residual = max(0.0, float(np.max(dist[funded_mask], initial=0.0)),  # +0.0, not -0.0
                    float(np.max(g[active & ~funded_mask] - lam, initial=0.0)))
     return AllocationResult(
         r=rv,

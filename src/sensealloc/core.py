@@ -242,11 +242,20 @@ class _Closed:
     def dsigma_sq_sides(self, r):
         return (self.dsigma_sq(r),) * 2
 
-    def pieces(self, u, floor):
-        """(top, bottom, c, lo, hi), one column of pieces; bottom is None."""
+    def pieces(self, u, floor, R):
+        """(top, bottom, c, lo, hi, base), one column of pieces; bottom is None
+        and base the floor.  A weight whose piece would start past the float
+        range (floor / c overflows) keeps the floor: its piece has slope 0 and
+        ends where it starts."""
         u = np.abs(u)[:, None]
         c = self.slope(u)
-        return self.offset(u) - floor / c, None, c, floor, math.inf
+        least = floor / np.finfo(float).max
+        if c.min() > least:
+            return self.offset(u) - floor / c, None, c, floor, math.inf, floor
+        rises = c > least
+        c = np.where(rises, c, 0.0)
+        top = self.offset(u) - np.divide(floor, c, out=np.zeros(c.shape), where=rises)
+        return top, None, c, floor, np.where(rises, math.inf, floor), floor
 
 
 def _reciprocal(x, positive):
@@ -254,10 +263,16 @@ def _reciprocal(x, positive):
     return np.divide(1.0, x, out=np.full(np.shape(x), np.inf), where=positive)
 
 
+def _power(x, p):
+    """x**p for an integer p, with x capped where x**p would pass the float
+    range (there 1 / x**p is below 2^-1022 and rounds to about 0 anyway)."""
+    return np.minimum(x, 2.0 ** (1023 // p)) ** p
+
+
 class _Inverse(_Closed):
     """r = |u|^(2/3) tau with tau = -theta, so nu = 2 / tau^3."""
     sigma = staticmethod(lambda r: _reciprocal(r, r > 0))
-    dsigma_sq = staticmethod(lambda r: -2.0 / r**3)
+    dsigma_sq = staticmethod(lambda r: -2.0 / _power(r, 3))
     slope = staticmethod(lambda u: np.cbrt(u) ** 2)
     level = staticmethod(lambda theta: -2.0 / theta / theta / theta)  # theta**3 may overflow
 
@@ -265,7 +280,7 @@ class _Inverse(_Closed):
 class _InverseSqrt(_Closed):
     """r = |u| tau with tau = -theta = nu^(-1/2)."""
     sigma = staticmethod(lambda r: _reciprocal(np.sqrt(np.maximum(r, 0.0)), r > 0))
-    dsigma_sq = staticmethod(lambda r: -1.0 / r**2)
+    dsigma_sq = staticmethod(lambda r: -1.0 / _power(r, 2))
     slope = staticmethod(lambda u: u)
     level = staticmethod(lambda theta: 1.0 / theta / theta)
 
@@ -291,7 +306,10 @@ class _Tabulated:
     The level theta of ``pieces`` is nu itself, at least 0.  Weight u has a
     piece per segment above the floor: r = r_k + (u^2 h(r_k+) - theta) /
     (2 u^2 m_k^2) for theta from u^2 h(r_k+) down to u^2 h(r_{k+1}-).  A knot's
-    jump is the gap between two pieces; nothing lies past the cap.
+    jump is the gap between two pieces; nothing lies past the cap.  Of its K
+    pieces, ``pieces`` returns only the few that a bracket on the level of
+    the budget leaves undecided: O(n log n log K) to find the bracket, and a
+    kernel over these few in place of 2 n K breakpoints.
     """
 
     lowest, level = 0.0, staticmethod(lambda theta: theta)
@@ -315,6 +333,8 @@ class _Tabulated:
         self._sided = np.concatenate(([0.0], self._slopes, [0.0]))  # flat outside the table
         self.marginals = np.column_stack((-2.0 * s_grid[:-1] * self._slopes,
                                           -2.0 * s_grid[1:] * self._slopes)).ravel()
+        self._half_dr = np.append(0.5 / self._slopes**2, 0.0)  # 0: no piece past the cap
+        self._tops = np.append(self.marginals[::2], 0.0)
         if np.any(np.diff(self.marginals) > 1e-9 * self.marginals[:-1]):
             raise InvalidNoiseModelError("table marginal rises at a knot: not decreasing "
                                          "and convex")
@@ -328,18 +348,89 @@ class _Tabulated:
         return 2.0 * self.sigma(r) * self._sided[np.searchsorted(self.knots, r, side=side)]
 
     def dsigma_sq_sides(self, r):
-        return self.dsigma_sq(r), self.dsigma_sq(r, "left")
+        s2 = 2.0 * self.sigma(r)  # one interpolation serves both sides
+        return (s2 * self._sided[np.searchsorted(self.knots, r, side="right")],
+                s2 * self._sided[np.searchsorted(self.knots, r, side="left")])
 
-    def pieces(self, u, floor):
-        """(top, bottom, c, lo, hi) of the pieces above the floor, one row per
-        feature.  A weight too small for its slopes (and their sums) to stay
-        finite gets slope 0: its marginal is 0 to working precision."""
+    def pieces(self, u, floor, R):
+        """(top, bottom, c, lo, hi, base): the pieces that can hold the level
+        of budget R, one row per feature, and the resource ``base`` that each
+        feature holds in the pieces spent below them."""
+        seg = self._segments(u, floor)
+        return self._window(seg, *self._bracket(seg, floor, R))
+
+    def _segments(self, u, floor):
+        """(a, ends, half_dr, tops, bottoms, keys): a = u^2, or 0 for a weight
+        too small for its slopes (and their sums) to stay finite, whose
+        marginal is 0 to working precision; and for the K segments above the
+        floor, their K + 1 ends (the floor, then the knots past it),
+        1 / (2 m_k^2) and the unit marginals h(r_k+) and h(r_{k+1}-) at
+        either end.  half_dr and tops end in a 0 for the empty piece past the
+        cap.  keys, the running minimum of bottoms negated, ascend even where
+        the table check let a marginal rise by up to 1e-9 at a knot."""
         k = int(np.searchsorted(self.knots, floor, side="right")) - 1  # the floor's segment
-        lo, half_dr = np.maximum(self.knots[k:-1], floor), 0.5 / self._slopes[k:] ** 2
-        a = (u * u)[:, None]
-        a = np.where(a * (np.finfo(float).max * 2.0**-60) >= half_dr.max(initial=0.0), a, 0.0)
-        c = np.divide(half_dr, a, out=np.zeros((a.shape[0], half_dr.size)), where=a > 0)
-        return -a * self.dsigma_sq(lo), a * self.marginals[2 * k + 1::2], c, lo, self.knots[k + 1:]
+        ends, half_dr = np.maximum(self.knots[k:], floor), self._half_dr[k:]
+        tops = self._tops[k:].copy()
+        tops[0] = -self.dsigma_sq(floor)
+        bottoms = self.marginals[2 * k + 1::2]
+        a = u * u
+        a = np.where(a * (np.finfo(float).max * 2.0**-60) >= half_dr.max(), a, 0.0)
+        return a, ends, half_dr, tops, bottoms, -np.minimum.accumulate(bottoms)
+
+    @staticmethod
+    def _spent(a, tops, keys, theta):
+        """How many pieces of each feature the level theta (or each row of a
+        column of levels) has spent: those before the first whose end marginal
+        a h(r_{k+1}-) lies below theta, none for a = 0.  theta / a is capped
+        at the top marginal, since it may pass the float range."""
+        capped = np.minimum(theta, a * tops[0])
+        unit = np.divide(capped, a, out=np.full(capped.shape, np.inf), where=a > 0)
+        return np.searchsorted(keys, -unit, side="right")
+
+    def _bracket(self, seg, floor, R):
+        """Levels low <= high around the level of budget R.  Alone, each of
+        the n features with slopes would take r_bar = R / n (net of the
+        floors of the others) at its level a h(r_bar), so the water level
+        lies between the least and the greatest of these; at a knot the
+        least takes h(r_bar+) and the greatest h(r_bar-).  A binary search of
+        these levels narrows the bracket to two neighbours, each probe summing
+        r = lo + c (top - theta) on the piece that ``_spent`` finds, as the
+        solve does: O(n log n log K) in all."""
+        a, ends, half_dr, tops, _, keys = seg
+        b = a[a > 0]
+        if not b.size:
+            return 0.0, 0.0
+        own = R - (a.size - b.size) * floor
+        right, left = self.dsigma_sq_sides(own / b.size)
+        b = np.sort(b)
+        levels = b * -right  # ascending
+        if left != right:  # r_bar on a knot: the greatest level takes h(r_bar-)
+            levels = np.append(levels, b[-1] * -left)
+        low, high = 0, levels.size - 1
+        while high - low > 1:
+            mid = (low + high) // 2
+            j = self._spent(b, tops, keys, levels[mid])
+            held = ends[j] + half_dr[j] / b * np.maximum(b * tops[j] - levels[mid], 0.0)
+            low, high = (mid, high) if held.sum() >= own else (low, mid)
+        return levels[low], levels[high]
+
+    def _window(self, seg, low, high):
+        """Per feature, the pieces from the last one that ``high`` spends to
+        the first one that ``low`` leaves idle, padded with empty pieces (c =
+        0, top = bottom = 0) to one row per feature, and ``base``, the
+        resource in the pieces before them.  The spent and the idle piece at
+        either end keep the level a piece inside the window, whatever the
+        rounding of the bracket."""
+        a, ends, half_dr, tops, bottoms, keys = seg
+        first, stop = self._spent(a, tops, keys, np.array([[high], [low]]))
+        first = np.maximum(first - 1, 0)
+        stop = np.where(a > 0, np.minimum(stop + 2, bottoms.size), 0)
+        cols = first[:, None] + np.arange((stop - first).max(initial=0))
+        keep, cols = cols < stop[:, None], np.minimum(cols, bottoms.size - 1)
+        a = a[:, None]
+        c = np.divide(half_dr[cols], a, out=np.zeros(cols.shape), where=keep)
+        return (np.where(keep, a * tops[cols], 0.0), np.where(keep, a * bottoms[cols], 0.0), c,
+                ends[cols], ends[cols + 1], ends[first][:, None])
 
 
 #: Unit curve of each family, built from the model's table; the keys are the

@@ -133,6 +133,42 @@ def grid_alloc_search(w, nm: NoiseModel, R: float,
     return ResourceVector(levels[alloc], spec.budget)
 
 
+def oracle_tabulated_waterfill(w, nm: NoiseModel, R: float) -> np.ndarray:
+    """Water-fill of a tabulated model by bisection on the level, apart from
+    the solver's pieces and breakpoint kernel.
+
+    With a_i = (w_i c_i / max|w c|)^2, feature i holds rho(theta / a_i) at the
+    level theta, where rho inverts the unit marginal h = -d(s^2)/dr of the
+    table: h is linear in r on each segment and jumps down at the knots, so
+    ``np.interp`` over the knot marginals reads rho off directly.  The level
+    is bisected to adjacent floats on F(theta) = sum_i max(rho(theta / a_i),
+    floor) = R.  Zero weights get 0, and a weight whose a_i underflows keeps
+    the floor.  Past every cap the leftover is spread evenly over the
+    weights with a_i > 0."""
+    weights = _as_weights(w)
+    r_grid, s_grid = (np.asarray(x, dtype=float) for x in nm.table)
+    m = np.diff(s_grid) / np.diff(r_grid)
+    marginals = np.column_stack((-2.0 * s_grid[:-1] * m, -2.0 * s_grid[1:] * m)).ravel()
+    at = np.repeat(r_grid, 2)[1:-1]  # r at each entry of marginals
+    u = np.abs(weights * nm._scale_for(weights))
+    a = (u / u.max()) ** 2
+    floor, live = nm.floor_for(R), a > 0
+
+    def held(theta: float) -> np.ndarray:
+        r = np.where(weights != 0.0, floor, 0.0)
+        r[live] = np.maximum(np.interp(-theta / a[live], -marginals, at), floor)
+        return r
+
+    lo, hi = 0.0, float(marginals[0])  # F(hi) = the floors < R
+    if held(lo).sum() <= R:
+        r = held(lo)
+        r[live] += (R - r.sum()) / int(live.sum())
+        return r
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if held(mid).sum() >= R else (lo, mid)
+    return held(lo)
+
+
 def mc_expected_loss(ds: Dataset, w, b: float, r: ResourceVector, nm: NoiseModel,
                      loss_kind: str, n_draws: int, rng: RngConfig,
                      chunk: int = 2000) -> Tuple[float, float]:

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sensealloc import (
     Dataset,
@@ -15,6 +17,7 @@ from sensealloc import (
     grid_alloc_search,
     oracle_integer_bits,
     oracle_project_simplex,
+    oracle_tabulated_waterfill,
     project_l1_ball,
     project_simplex,
     refine_integer_bits,
@@ -160,6 +163,119 @@ def test_waterfill_budget_past_every_cap(table, floor, w, R):
     full = allocate_waterfill(w, nm, 2 * cap)
     np.testing.assert_allclose(full.r.alloc, [cap, cap], rtol=1e-15)
     assert full.residual < 1e-12 and math.copysign(1.0, full.residual) == 1.0
+
+
+def _check_tabulated_against_reference(w, nm, R):
+    """The water-fill spends R with a residual in [+0, 1e-12) and lies
+    within 1e-12 R of the bisection reference."""
+    res = allocate_waterfill(w, nm, R)
+    assert abs(res.r.alloc.sum() - R) <= 1e-12 * R
+    assert res.residual < 1e-12 and math.copysign(1.0, res.residual) == 1.0
+    np.testing.assert_allclose(res.r.alloc, oracle_tabulated_waterfill(w, nm, R),
+                               rtol=0.0, atol=1e-12 * R)
+    return res
+
+
+@pytest.mark.parametrize("d", [30, 1000, 10_000])
+def test_tabulated_waterfill_large_d(tabulated, d):
+    """Each feature brings one piece per table segment, but a solve keeps
+    only those its level can reach: at d = 10^4 on the 400-knot table it
+    stays far below the 640 MiB that sorting every piece's ends takes."""
+    w = np.random.default_rng(d).uniform(0.1, 3.0, d)
+    _check_tabulated_against_reference(w, tabulated, 2.0 * d)
+    tracemalloc.start()
+    try:
+        allocate_waterfill(w, tabulated, 2.0 * d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if d == 10_000:
+        assert peak <= 16 * 2**20
+
+
+_KNOTS = _GEOM[[100, 250]]
+
+
+@pytest.mark.parametrize("w, R", [
+    ([1.3] * 5, 7.0),  # equal levels: a bracket of width 0
+    ([0.4, 1.0, 2.5, 0.9], 4 * _KNOTS[0]),  # R / n on a knot
+    ([0.7, 0.7, 0.7], 3 * _KNOTS[1]),  # the level inside that knot's jump
+    # the slopes of a weight of 1e-150 overflow, so it keeps the floor, and the
+    # others share R less those floors
+    ([1.0, 1e-150, 2.0, 0.5] + [1e-150] * 9, 60.0),
+    ([1.0, 0.0, 2.0, 0.0, 0.5], 5.0),  # zero weights
+    ([0.3, 2.0, 1.1], 150.0),  # R / n at the cap
+    ([0.3, 2.0, 1.1], 150.0 - 1e-9),  # just below it
+    ([0.3, 2.0, 1.1], 149.0),
+], ids=["equal", "knot", "jump", "negligible", "zeros", "at_cap", "below_cap", "near_cap"])
+def test_tabulated_waterfill_bracket_edges(tabulated, w, R):
+    res = _check_tabulated_against_reference(w, tabulated, R)
+    if len(set(w)) == 1:
+        assert np.ptp(res.r.alloc) == 0.0
+    if 0.0 in w:
+        assert np.all(res.r.alloc[np.array(w) == 0.0] == 0.0)
+
+
+def test_tabulated_waterfill_floor_inside_a_segment(tabulated):
+    nm = NoiseModel("tabulated", table=tabulated.table, floor=0.5 * (_GEOM[40] + _GEOM[41]))
+    for R in (0.5, 3.0, 40.0):
+        res = _check_tabulated_against_reference([2.0, 0.05, 1.0, 0.3], nm, R)
+        assert res.r.alloc.min() >= nm.floor_for(R)
+
+
+def test_tabulated_waterfill_extreme_tables_warn_nothing():
+    """On a table this flat no weight keeps finite slopes, so R is split
+    evenly; on a steep one a weight of 1e-148 keeps them, although its level
+    ratio theta / u^2 passes the float range, and it keeps the floor."""
+    flat = NoiseModel("tabulated", table=(np.array([1.0, 2.0, 4.0]),
+                                          np.array([3e-150, 2e-150, 1.5e-150])))
+    steep = NoiseModel("tabulated", table=(np.array([1.0, 2.0, 3.0]), np.array([1e9, 1e3, 1.0])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        even = allocate_waterfill([1.0, 2.0, 0.5], flat, 6.0)
+        tiny = allocate_waterfill([1.0, 1e-148], steep, 3.5)
+    np.testing.assert_array_equal(even.r.alloc, [2.0, 2.0, 2.0])
+    np.testing.assert_allclose(tiny.r.alloc, [2.5, 1.0], rtol=1e-15)
+    assert tiny.residual < 1e-12 * tiny.lam
+
+
+def test_tabulated_waterfill_on_a_plateau(tabulated):
+    """Where every feature sits on a knot or at the cap, the budget sum is
+    flat in the level, and the float dust of the sum must not push a feature
+    across its knot: equal weights with R/n on a knot, and unequal ones at
+    R = n cap, keep a residual below 1e-12 and r within 1e-14 R of the knot."""
+    gen = np.random.default_rng(5)
+    for k in range(3, 399, 11):
+        for n in (2, 3, 5, 7):
+            knot, u = _GEOM[k], gen.uniform(0.1, 3.0)
+            res = allocate_waterfill(np.full(n, u), tabulated, n * knot)
+            assert res.residual < 1e-12
+            np.testing.assert_allclose(res.r.alloc, knot, rtol=0.0, atol=1e-14 * n * knot)
+            w = gen.uniform(0.1, 3.0, n)
+            res = allocate_waterfill(w, tabulated, n * 50.0)
+            assert res.residual < 1e-12
+            np.testing.assert_allclose(res.r.alloc, 50.0, rtol=0.0, atol=1e-14 * n * 50.0)
+
+
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=2**32 - 1),
+       st.lists(st.floats(min_value=0.05, max_value=5.0), min_size=1, max_size=6),
+       st.floats(min_value=0.0, max_value=1.0))
+@example(segments=6, seed=2, wlist=[1.0, 1.0, 1.0], share=1.0)  # R/n a float below the cap
+@example(segments=7, seed=1, wlist=[1.0, 2.0, 2.0], share=1.0)
+@settings(max_examples=150, deadline=None)
+def test_tabulated_waterfill_matches_reference_on_random_tables(segments, seed, wlist, share):
+    """Convex tables of 2-8 knots, the floor anywhere below the cap and any
+    budget up to the sum of the caps."""
+    gen = np.random.default_rng(seed)
+    knots = np.cumsum(gen.uniform(0.05, 2.0, segments + 1))
+    slopes = -np.cumsum(gen.uniform(0.01, 0.5, segments))[::-1]  # strictly increasing
+    sigma = -slopes[0] * (knots[-1] - knots[0]) + gen.uniform(0.01, 1.0) + np.concatenate(
+        ([0.0], np.cumsum(slopes * np.diff(knots))))
+    floor = float(gen.uniform(knots[0], knots[-1]))
+    nm = NoiseModel("tabulated", table=(knots, sigma), floor=floor)
+    n = len(wlist)
+    R = n * floor + max(share, 1e-3) * n * (knots[-1] - floor)
+    _check_tabulated_against_reference(wlist, nm, R)
 
 
 def test_closed_form_inverse_sqrt_examples():
@@ -470,6 +586,24 @@ def test_waterfill_keeps_a_negligible_weight_at_the_floor(family, tabulated):
     res = allocate_waterfill(w, nm, 3.0)
     assert res.r.alloc[0] == nm.floor_for(3.0)
     assert sigma_aggregate(w, res.r, nm) > 0
+
+
+@pytest.mark.parametrize("family, power", [("inverse", 2.0 / 3.0), ("inverse_sqrt", 1.0)])
+@pytest.mark.parametrize("R", [3e299, 1e300, 7.7e300])
+def test_waterfill_huge_budget_warns_nothing(family, power, R):
+    """At R near 1e300 the floor 1e291 lies past the float range of a 1e-200
+    weight's piece, and r^2 or r^3 overflow: those weights keep exactly the
+    floor, the others split the rest as the closed form does, and nothing
+    warns."""
+    nm, w = NoiseModel(family), np.array([1.0, 2.0, 3.0, 1e-200, 5e-201])
+    floor = nm.floor_for(R)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = allocate_waterfill(w, nm, R)
+    np.testing.assert_array_equal(res.r.alloc[3:], floor)
+    share = w[:3] ** power / np.sum(w[:3] ** power)
+    np.testing.assert_allclose(res.r.alloc[:3], (R - 2 * floor) * share, rtol=1e-12)
+    assert list(res.funded) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("family", FAMILIES)

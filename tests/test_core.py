@@ -181,11 +181,16 @@ _THETA = {"inverse": lambda nu: -np.cbrt(2.0 / nu), "inverse_sqrt": lambda nu: -
 
 def _resource_at(nm, u, nu, floor):
     """The resource that the pieces of ``nm``'s unit curve give features of
-    unit weight u at the common marginal nu (read as the water-fill does)."""
-    top, _, c, lo, hi = nm._curve.pieces(np.asarray(u, dtype=float), floor)
-    theta = _THETA[nm.family](nu)
-    assert nm._curve.level(theta) == pytest.approx(nu, rel=1e-13)
-    return np.where(top > theta, np.minimum(lo + c * (top - theta), hi), floor).max(axis=1)
+    unit weight u at the common marginal nu (read as the water-fill does).
+    A table's pieces are those around that level itself, not a budget's."""
+    curve, u, theta = nm._curve, np.asarray(u, dtype=float), _THETA[nm.family](nu)
+    assert curve.level(theta) == pytest.approx(nu, rel=1e-13)
+    if nm.family == "tabulated":
+        top, _, c, lo, hi, base = curve._window(curve._segments(u, floor), theta, theta)
+    else:
+        top, _, c, lo, hi, base = curve.pieces(u, floor, math.nan)  # no budget needed
+    return np.where(top > theta, np.minimum(lo + c * (top - theta), hi), base).max(
+        axis=1, initial=floor)
 
 
 @given(
