@@ -245,17 +245,13 @@ class _Closed:
     def pieces(self, u, floor, R):
         """(top, bottom, c, lo, hi, base), one column of pieces; bottom is None
         and base the floor.  A weight whose piece would start past the float
-        range (floor / c overflows) keeps the floor: its piece has slope 0 and
-        ends where it starts."""
+        range (floor / c overflows) keeps the floor: its piece has slope 0."""
         u = np.abs(u)[:, None]
         c = self.slope(u)
-        least = floor / np.finfo(float).max
-        if c.min() > least:
-            return self.offset(u) - floor / c, None, c, floor, math.inf, floor
-        rises = c > least
+        rises = c > floor / np.finfo(float).max
         c = np.where(rises, c, 0.0)
         top = self.offset(u) - np.divide(floor, c, out=np.zeros(c.shape), where=rises)
-        return top, None, c, floor, np.where(rises, math.inf, floor), floor
+        return top, None, c, floor, math.inf, floor
 
 
 def _reciprocal(x, positive):
@@ -307,9 +303,10 @@ class _Tabulated:
     piece per segment above the floor: r = r_k + (u^2 h(r_k+) - theta) /
     (2 u^2 m_k^2) for theta from u^2 h(r_k+) down to u^2 h(r_{k+1}-).  A knot's
     jump is the gap between two pieces; nothing lies past the cap.  Of its K
-    pieces, ``pieces`` returns only the few that a bracket on the level of
-    the budget leaves undecided: O(n log n log K) to find the bracket, and a
-    kernel over these few in place of 2 n K breakpoints.
+    pieces, ``pieces`` returns only those that a bracket on the level of the
+    budget leaves undecided, at most max(1, K / n) + 3 a feature: O(n log K)
+    a probe to find the bracket, and a kernel over at most about K + 4 n
+    pieces in place of 2 n K breakpoints.
     """
 
     lowest, level = 0.0, staticmethod(lambda theta: theta)
@@ -342,13 +339,13 @@ class _Tabulated:
     def sigma(self, r):
         return np.interp(r, *self.table)
 
-    def dsigma_sq(self, r, side="right"):
-        """Exact one-sided derivative 2 s(r) m_k, m_k the slope of the segment
-        on that side of r; zero where s is flat."""
-        return 2.0 * self.sigma(r) * self._sided[np.searchsorted(self.knots, r, side=side)]
+    def dsigma_sq(self, r):
+        return self.dsigma_sq_sides(r)[0]
 
     def dsigma_sq_sides(self, r):
-        s2 = 2.0 * self.sigma(r)  # one interpolation serves both sides
+        """Exact one-sided derivatives 2 s(r) m_k, right then left, m_k the
+        slope of the segment on that side of r; zero where s is flat."""
+        s2 = 2.0 * self.sigma(r)
         return (s2 * self._sided[np.searchsorted(self.knots, r, side="right")],
                 s2 * self._sided[np.searchsorted(self.knots, r, side="left")])
 
@@ -392,27 +389,32 @@ class _Tabulated:
         the n features with slopes would take r_bar = R / n (net of the
         floors of the others) at its level a h(r_bar), so the water level
         lies between the least and the greatest of these; at a knot the
-        least takes h(r_bar+) and the greatest h(r_bar-).  A binary search of
-        these levels narrows the bracket to two neighbours, each probe summing
-        r = lo + c (top - theta) on the piece that ``_spent`` finds, as the
-        solve does: O(n log n log K) in all."""
+        least takes h(r_bar+) and the greatest h(r_bar-).  Bisection (of
+        log theta, or of theta while low is 0) narrows the bracket until no
+        feature has more than max(1, K / n) of its K segment ends inside it,
+        or it no longer splits, so the window holds O(n + K) pieces however
+        the weights spread.  Each probe sums r = lo + c (top - theta) on the
+        piece that ``_spent`` finds, as the solve does, in O(n log K)."""
         a, ends, half_dr, tops, _, keys = seg
         b = a[a > 0]
         if not b.size:
             return 0.0, 0.0
         own = R - (a.size - b.size) * floor
         right, left = self.dsigma_sq_sides(own / b.size)
-        b = np.sort(b)
-        levels = b * -right  # ascending
-        if left != right:  # r_bar on a knot: the greatest level takes h(r_bar-)
-            levels = np.append(levels, b[-1] * -left)
-        low, high = 0, levels.size - 1
-        while high - low > 1:
-            mid = (low + high) // 2
-            j = self._spent(b, tops, keys, levels[mid])
-            held = ends[j] + half_dr[j] / b * np.maximum(b * tops[j] - levels[mid], 0.0)
-            low, high = (mid, high) if held.sum() >= own else (low, mid)
-        return levels[low], levels[high]
+        low, high = b.min() * -right, b.max() * -left
+        j_low, j_high = self._spent(b, tops, keys, np.array([[low], [high]]))
+        most = max(1, keys.size // b.size)
+        while (j_low - j_high).max() > most:
+            mid = math.sqrt(low) * math.sqrt(high) or 0.5 * high
+            if not low < mid < high:
+                break
+            j = self._spent(b, tops, keys, mid)
+            held = ends[j] + half_dr[j] / b * np.maximum(b * tops[j] - mid, 0.0)
+            if held.sum() >= own:
+                low, j_low = mid, j
+            else:
+                high, j_high = mid, j
+        return low, high
 
     def _window(self, seg, low, high):
         """Per feature, the pieces from the last one that ``high`` spends to

@@ -176,21 +176,30 @@ def _check_tabulated_against_reference(w, nm, R):
     return res
 
 
-@pytest.mark.parametrize("d", [30, 1000, 10_000])
-def test_tabulated_waterfill_large_d(tabulated, d):
+@pytest.mark.parametrize("d, clustered", [(30, False), (1000, False), (10_000, False),
+                                          (10_000, True)],
+                         ids=["30", "1000", "10000", "10000_two_clusters"])
+def test_tabulated_waterfill_large_d(tabulated, d, clustered):
     """Each feature brings one piece per table segment, but a solve keeps
     only those its level can reach: at d = 10^4 on the 400-knot table it
-    stays far below the 640 MiB that sorting every piece's ends takes."""
+    stays far below the 640 MiB that sorting every piece's ends takes.  With
+    half the weights 1e-3 the features' own levels form two clusters a
+    factor 1e6 apart with the level between them, so the bracket must be
+    narrowed past two neighbouring own levels, which leave 150-250 pieces a
+    feature."""
     w = np.random.default_rng(d).uniform(0.1, 3.0, d)
+    if clustered:
+        w = np.where(np.arange(d) % 2 == 0, 1.0, 1e-3)
     _check_tabulated_against_reference(w, tabulated, 2.0 * d)
+    if d < 10_000:
+        return
     tracemalloc.start()
     try:
         allocate_waterfill(w, tabulated, 2.0 * d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    if d == 10_000:
-        assert peak <= 16 * 2**20
+    assert peak <= 16 * 2**20
 
 
 _KNOTS = _GEOM[[100, 250]]
@@ -200,6 +209,9 @@ _KNOTS = _GEOM[[100, 250]]
     ([1.3] * 5, 7.0),  # equal levels: a bracket of width 0
     ([0.4, 1.0, 2.5, 0.9], 4 * _KNOTS[0]),  # R / n on a knot
     ([0.7, 0.7, 0.7], 3 * _KNOTS[1]),  # the level inside that knot's jump
+    # the same at another knot, where the solve needs the idle piece that
+    # the window keeps below the bracket
+    ([0.9923353839511214] * 3, 3 * _GEOM[230]),
     # the slopes of a weight of 1e-150 overflow, so it keeps the floor, and the
     # others share R less those floors
     ([1.0, 1e-150, 2.0, 0.5] + [1e-150] * 9, 60.0),
@@ -207,7 +219,7 @@ _KNOTS = _GEOM[[100, 250]]
     ([0.3, 2.0, 1.1], 150.0),  # R / n at the cap
     ([0.3, 2.0, 1.1], 150.0 - 1e-9),  # just below it
     ([0.3, 2.0, 1.1], 149.0),
-], ids=["equal", "knot", "jump", "negligible", "zeros", "at_cap", "below_cap", "near_cap"])
+], ids=["equal", "knot", "jump", "jump_idle_piece", "negligible", "zeros", "at_cap", "below_cap", "near_cap"])
 def test_tabulated_waterfill_bracket_edges(tabulated, w, R):
     res = _check_tabulated_against_reference(w, tabulated, R)
     if len(set(w)) == 1:
