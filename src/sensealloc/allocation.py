@@ -7,18 +7,23 @@ whose marginal at the floor already falls below lambda receive nothing.  A
 per-feature scale c_i enters only as w_i^2 c_i^2, so the water-fill folds it
 into the weights once and solves on the model's unit curve s, whose
 ``pieces`` state every feature's optimal resource as linear pieces in one
-level: the budget equation is then a breakpoint problem, which the
-projections' sort-and-threshold kernel solves exactly (Kiwiel 2008), and no
-noise formula lives in this module.  A table brings one piece per segment
-and feature, so its curve first brackets the level and hands over only the
-pieces inside the bracket, with the resource of those spent below it as
-each feature's ``base``.  A tabulated marginal jumps at its knots, where a
-feature sits in the gap between two pieces; the stationarity residual is
-measured against that subdifferential.  The relaxed bit budget
-is the same kernel with unit slopes, integer bits follow from it by
-marginal analysis, and the closed forms of the inverse families are
-cross-checks in :mod:`sensealloc.oracles`.  Every :class:`NoiseModel` is
-decreasing and convex once constructed, so no solver checks it again.
+level: the budget equation is then a breakpoint problem, solved exactly,
+and no noise formula lives in this module.  A closed form gives each
+feature one endless piece, so the budget sum is convex in the level and
+Newton passes from the left find it without a sort (Michelot 1986).  A
+table's pieces end, so its sum is not convex and it keeps the projections'
+sort-and-threshold kernel with signed slopes (Kiwiel 2008).  A table brings
+one piece per segment and feature, so its curve first brackets the level
+and hands over only the pieces inside the bracket, with the resource of
+those spent below it as each feature's ``base``.  A tabulated marginal
+jumps at its knots, where a feature sits in the gap between two pieces; the
+stationarity residual is measured against that subdifferential.  The
+relaxed bit budget is the sort kernel with unit slopes, as are the
+projections, whose sorted order the online traces depend on; integer bits
+follow from it by marginal analysis, and the closed forms of the inverse
+families are cross-checks in :mod:`sensealloc.oracles`.  Every
+:class:`NoiseModel` is decreasing and convex once constructed, so no solver
+checks it again.
 """
 
 from __future__ import annotations
@@ -65,22 +70,29 @@ def _waterfill(weights: np.ndarray, curve, floor: float, R: float):
             f"floor {floor:.3g} x {n_active} active features exceeds budget {R:.3g}"
         )
     top, bottom, c, lo, hi, base = curve.pieces(weights[active], floor, R)
-    v, slopes = top.ravel(), c.ravel()
-    if bottom is not None:  # a piece that ends gives its slope back there
-        v, slopes = np.concatenate((v, bottom.ravel())), np.concatenate((slopes, -slopes))
-    theta = max(_threshold(v, R - n_active * floor - np.sum(base - floor), slopes)[0],
-                curve.lowest)
+    target = R - n_active * floor - np.sum(base - floor)
+    endless = bottom is None  # the closed forms: the budget sum is convex in the level
+    if endless:
+        theta = _newton_level(top.ravel(), c.ravel(), target)
+    else:  # a piece that ends gives its slope back there
+        v = np.concatenate((top.ravel(), bottom.ravel()))
+        theta = _threshold(v, target, np.concatenate((c.ravel(), -c.ravel())))[0]
+    theta = max(theta, curve.lowest)
     rising = top > theta
     reach = lo + c * (top - theta)
     r_on = np.where(rising, np.minimum(reach, hi), base).max(axis=1, initial=floor)
     # close the float dust over the features inside a piece by more than the
-    # dust, which it moves off no knot, floor or cap.  With none, every feature
-    # sits where its whole subdifferential holds the level, so the dust stays;
-    # only a budget left over past every cap (the lowest level) is spread.
+    # dust, which it moves off no knot, floor or cap.  On endless pieces it is
+    # a shift of the level, c a unit, so a feature funded far below the others
+    # keeps its relative precision; a table's pieces share it evenly.  With
+    # none inside, every feature sits where its whole subdifferential holds the
+    # level, so the dust stays; only a budget left over past every cap (the
+    # lowest level) is spread.
     gap = R - r_on.sum()
     inside = np.any(rising & (lo + abs(gap) < reach) & (reach < hi - abs(gap)), axis=1)
     if np.any(inside):
-        r_on[inside] += gap / inside.sum()
+        share = np.where(inside, c[:, 0] if endless else 1.0, 0.0)
+        r_on += gap * share / share.sum()
     elif gap > 0 and theta == curve.lowest:
         funded = r_on > floor * (1.0 + 1e-9)
         pool = funded if np.any(funded) else np.ones_like(funded)
@@ -215,7 +227,10 @@ def _threshold(v: np.ndarray, target: float, c: np.ndarray | None = None):
     A piece that ends gives its slope back as a negative one, so the support
     test compares F(v_i) with the target: it holds where the slope sum rounds
     around 0.  F is flat where that sum is not positive; theta is -inf where
-    F stays below the target."""
+    F stays below the target.  Signed slopes come only from a table, whose F
+    is not convex; the closed forms' F is, and ``_newton_level`` solves it
+    without a sort.  The projections and the bit budget keep the unit-slope
+    sort, whose order fixes the rounding that the online traces repeat."""
     if c is None:
         u = np.sort(v)[::-1]
         css = np.cumsum(u)
@@ -233,6 +248,25 @@ def _threshold(v: np.ndarray, target: float, c: np.ndarray | None = None):
     lower = float(u[rho + 1]) if rho + 1 < u.size else -math.inf
     theta = float(area[rho] - target) / float(slope[rho]) if slope[rho] > 0 else lower
     return min(max(theta, lower), float(u[rho])), u[rho]
+
+
+def _newton_level(top: np.ndarray, c: np.ndarray, target: float) -> float:
+    """theta with F(theta) = sum c_i max(top_i - theta, 0) = target for
+    slopes c >= 0 with one positive, by Newton's method from the left
+    (Michelot 1986; Condat 2016).  F is convex and decreasing, so the line
+    through the pieces still rising at the last level lies below F and meets
+    the target at or left of F's root: each pass drops the pieces that its
+    level passes, no piece comes back, and a pass that drops none ends on
+    the root, within n passes.  Rounding may put a level at the top of every
+    piece left; that level stands."""
+    pos = c > 0
+    top, c = top[pos], c[pos]
+    while True:
+        theta = (float(c @ top) - target) / float(c.sum())
+        rising = top > theta
+        if rising.all() or not rising.any():
+            return theta
+        top, c = top[rising], c[rising]
 
 
 def simplex_projection_raw(v: np.ndarray, R: float, floor: float = 0.0) -> np.ndarray:
@@ -275,6 +309,8 @@ def project_simplex(v, R: float, floor: float = 0.0) -> ResourceVector:
     """Euclidean projection of v onto {r : sum r_i = R, r_i >= floor} by the
     sort-and-threshold rule; exact for every finite input."""
     v = np.asarray(v, dtype=float).ravel()
+    if not v.size:
+        raise InfeasibleSetError(f"no coordinates of an empty point sum to R={R}")
     if not np.all(np.isfinite(v)):
         raise InfeasibleSetError("cannot project a point with NaN or infinite entries")
     if not v.shape[0] * floor < R < math.inf:

@@ -46,11 +46,22 @@ from .losses import square_loss_total
 from .online import project_l2_ball
 
 
-def _parse_weights(raw: str) -> np.ndarray:
+def _parse_numbers(raw: str, what: str) -> np.ndarray:
     try:
         return np.array([float(v) for v in raw.replace(",", " ").split()])
     except ValueError as exc:
-        raise ConfigError(f"cannot parse weights {raw!r}: {exc}") from exc
+        raise ConfigError(f"cannot parse {what} {raw!r}: {exc}") from exc
+
+
+def _seed(raw: str) -> int:
+    """argparse type of --seed: a non-negative integer."""
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _emit(obj, out_path, fmt):
@@ -65,7 +76,7 @@ def _emit(obj, out_path, fmt):
 
 def cmd_allocate(args) -> int:
     nm = NoiseModel(args.family)
-    w = _parse_weights(args.weights)
+    w = _parse_numbers(args.weights, "weights")
     if args.solver == "waterfill":
         result = allocate_waterfill(w, nm, args.budget)
         alloc, lam = result.r.alloc, result.lam
@@ -150,8 +161,11 @@ def cmd_online(args, kind: str) -> int:
 
 def cmd_analyze(args) -> int:
     nm = NoiseModel("inverse_sqrt")
-    a_values = [float(v) for v in args.a_values.replace(",", " ").split()]
-    rows = ratio_sweep(a_values, nm, seed=args.seed or 0)
+    a_values = _parse_numbers(args.a_values, "a-values")
+    if not np.all((a_values >= 0) & (a_values < np.inf)):
+        # each a seeds its data with seed + round(100 a), which must stay >= 0
+        raise ConfigError(f"a-values must be finite and >= 0, got {args.a_values!r}")
+    rows = ratio_sweep(a_values.tolist(), nm, seed=args.seed or 0)
     lines = ["a,theoretical,empirical"]
     for a, theo, emp in rows:
         lines.append(f"{a!r},{theo!r},{emp!r}")
@@ -234,13 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--budget", type=float, default=9.0)
     p.add_argument("--family", default="inverse_sqrt")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_train_batch)
 
     p = sub.add_parser("experiment", help="run a configured benchmark")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", default=None, choices=["csv", "json"])
     p.add_argument("--full-scale", action="store_true")
@@ -252,18 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=float, default=9.0)
         p.add_argument("--weight-cap", type=float, default=10.0, dest="weight_cap")
         p.add_argument("--epsilon", type=float, default=0.5)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", default=None)
         p.set_defaults(fn=lambda a, k=kind: cmd_online(a, k))
 
     p = sub.add_parser("analyze", help="budget-ratio sweep table (a, theoretical, empirical)")
     p.add_argument("--a-values", default="1 2 3 4 5 6 7 8 9", dest="a_values")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("oracle-check", help="run quick oracle comparisons")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=cmd_oracle_check)
     return parser
 

@@ -46,6 +46,11 @@ class RngConfig:
 
     seed: int
 
+    def __post_init__(self):
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
+
     def stream(self, label: str) -> np.random.Generator:
         """Return a generator keyed by (seed, label); same inputs, same bits."""
         digest = hashlib.sha256(label.encode("utf-8")).digest()
@@ -385,7 +390,8 @@ class _Tabulated:
         return np.searchsorted(keys, -unit, side="right")
 
     def _bracket(self, seg, floor, R):
-        """Levels low <= high around the level of budget R.  Alone, each of
+        """How many pieces of each feature the levels high and low spend, for
+        a bracket low <= high around the level of budget R.  Alone, each of
         the n features with slopes would take r_bar = R / n (net of the
         floors of the others) at its level a h(r_bar), so the water level
         lies between the least and the greatest of these; at a knot the
@@ -396,9 +402,11 @@ class _Tabulated:
         the weights spread.  Each probe sums r = lo + c (top - theta) on the
         piece that ``_spent`` finds, as the solve does, in O(n log K)."""
         a, ends, half_dr, tops, _, keys = seg
-        b = a[a > 0]
+        spent = np.zeros((2, a.size), dtype=np.intp)  # none for a = 0
+        sloped = a > 0
+        b = a[sloped]
         if not b.size:
-            return 0.0, 0.0
+            return spent
         own = R - (a.size - b.size) * floor
         right, left = self.dsigma_sq_sides(own / b.size)
         low, high = b.min() * -right, b.max() * -left
@@ -414,17 +422,18 @@ class _Tabulated:
                 low, j_low = mid, j
             else:
                 high, j_high = mid, j
-        return low, high
+        spent[:, sloped] = j_high, j_low
+        return spent
 
-    def _window(self, seg, low, high):
-        """Per feature, the pieces from the last one that ``high`` spends to
-        the first one that ``low`` leaves idle, padded with empty pieces (c =
-        0, top = bottom = 0) to one row per feature, and ``base``, the
-        resource in the pieces before them.  The spent and the idle piece at
-        either end keep the level a piece inside the window, whatever the
-        rounding of the bracket."""
-        a, ends, half_dr, tops, bottoms, keys = seg
-        first, stop = self._spent(a, tops, keys, np.array([[high], [low]]))
+    def _window(self, seg, first, stop):
+        """Per feature, the pieces from the last one that the high end of the
+        bracket spends (``first`` pieces spent) to the first one that its low
+        end leaves idle (``stop`` spent), padded with empty pieces (c = 0,
+        top = bottom = 0) to one row per feature, and ``base``, the resource
+        in the pieces before them.  The spent and the idle piece at either
+        end keep the level a piece inside the window, whatever the rounding
+        of the bracket."""
+        a, ends, half_dr, tops, bottoms, _ = seg
         first = np.maximum(first - 1, 0)
         stop = np.where(a > 0, np.minimum(stop + 2, bottoms.size), 0)
         cols = first[:, None] + np.arange((stop - first).max(initial=0))

@@ -141,6 +141,8 @@ class ExperimentConfig:
             raise ConfigError("budgets must be positive")
         if self.folds < 1:
             raise ConfigError("folds must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.noise_scale < math.inf:
             raise ConfigError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         if self.scale_mode not in ("sd", "variance"):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from sensealloc.errors import (
     InvalidNoiseModelError,
     SenseAllocError,
 )
+from sensealloc import allocation
 
 FAMILIES = ["inverse", "inverse_sqrt", "quantization"]
 
@@ -370,6 +372,44 @@ def test_closed_forms_agree_with_waterfill():
         np.testing.assert_allclose(out2, ref2, rtol=1e-8)
 
 
+def _sorted_level(top, c, target):
+    """The level from the signed-slope sort kernel on the same pieces: a
+    reference outside the Newton passes."""
+    return allocation._threshold(top, target, c)[0]
+
+
+@given(st.sampled_from(FAMILIES), st.integers(min_value=1, max_value=10_000),
+       st.integers(min_value=0, max_value=2**32 - 1), st.floats(min_value=0.0, max_value=12.0),
+       st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=0.999)),  # 0: the default
+       st.floats(min_value=0.5, max_value=5.0))
+@example(family="inverse", d=10_000, seed=1, decades=12.0, share=0.999, per_feature=2.0)
+# an even split of the float dust left the 1e-7 weight a residual of 1.1e-12
+@example(family="inverse_sqrt", d=7, seed=7, decades=7.0, share=0.0, per_feature=1.0)
+@example(family="quantization", d=10_000, seed=2, decades=12.0, share=0.9, per_feature=3.0)
+@settings(max_examples=150, deadline=None)
+def test_closed_form_level_matches_the_sort(family, d, seed, decades, share, per_feature):
+    """The Newton passes find the level that the sort finds, for weights
+    spread over up to 12 decades and floors from the default up to 0.999 R/d,
+    which leave features unfunded and take several passes: r within 1e-12 R
+    of the sort's, the same funded set, sum R, a residual in
+    [+0, 1e-12 max(1, lam)), and permuting the weights permutes r."""
+    gen = np.random.default_rng(seed)
+    w = 10.0 ** gen.uniform(-decades, 0.0, d) * gen.choice([-1.0, 1.0], d)
+    R = per_feature * d
+    nm = NoiseModel(family, floor=share * R / d if share > 0 else None)
+    res = allocate_waterfill(w, nm, R)
+    with mock.patch.object(allocation, "_newton_level", _sorted_level):
+        ref = allocate_waterfill(w, nm, R)
+    np.testing.assert_allclose(res.r.alloc, ref.r.alloc, rtol=0, atol=1e-12 * R)
+    np.testing.assert_array_equal(res.funded, ref.funded)
+    assert abs(res.r.alloc.sum() - R) <= 1e-12 * R
+    assert 0 <= res.residual < 1e-12 * max(1.0, res.lam)
+    assert math.copysign(1.0, res.residual) == 1.0
+    perm = gen.permutation(d)
+    got = allocate_waterfill(w[perm], nm, R)
+    np.testing.assert_allclose(got.r.alloc, res.r.alloc[perm], rtol=0, atol=1e-12 * R)
+
+
 class TestQuantization:
     def test_symmetric(self):
         res = allocate_quantization(np.array([1.0, 1.0]), 4.0)
@@ -547,6 +587,11 @@ class TestSimplexProjection:
         with pytest.raises(InfeasibleSetError):
             project_simplex(np.ones(4), 1.0, floor=0.5)
 
+    def test_empty_point_rejected(self):
+        # no coordinates sum to R > 0 (numpy's IndexError came from the kernel)
+        with pytest.raises(InfeasibleSetError):
+            project_simplex([], 1.0)
+
     def test_matches_active_set_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
@@ -609,9 +654,11 @@ def test_waterfill_huge_budget_warns_nothing(family, power, R):
     warns."""
     nm, w = NoiseModel(family), np.array([1.0, 2.0, 3.0, 1e-200, 5e-201])
     floor = nm.floor_for(R)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), mock.patch.object(
+            allocation, "_newton_level", wraps=allocation._newton_level) as newton:
         warnings.simplefilter("error")
         res = allocate_waterfill(w, nm, R)
+    newton.assert_called_once()
     np.testing.assert_array_equal(res.r.alloc[3:], floor)
     share = w[:3] ** power / np.sum(w[:3] ** power)
     np.testing.assert_allclose(res.r.alloc[:3], (R - 2 * floor) * share, rtol=1e-12)

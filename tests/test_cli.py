@@ -112,8 +112,9 @@ def test_experiment_bad_config_exit_2(tmp_path):
     "noise_scale = nan\n",
     "train_size = 100\n",
     "[experiment]\n",
+    "seed = -3\n",
 ], ids=["bad-scale-mode", "negative-noise-scale", "nan-noise-scale", "unmapped-key",
-        "duplicate-section"])
+        "duplicate-section", "negative-seed"])
 def test_experiment_invalid_config_exit_2(tmp_path, capsys, line):
     cfg = tmp_path / "exp.ini"
     cfg.write_text("[experiment]\nkind = synthetic\nbudgets = 2 8\nfolds = 2\n" + line
@@ -190,4 +191,37 @@ def test_skin_experiment_via_cli(tmp_path):
 ], ids=["nan-weight", "zero-weights", "tabulated-without-table", "negative-budget"])
 def test_allocate_invalid_input_exit_2(argv, capsys):
     assert main(["allocate", *argv]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    """main's exit code, also where argparse rejects the arguments."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle-check", "--seed", "-1"],
+    ["train-batch", "--loss", "square", "--n", "40", "--seed", "-2"],
+    ["online-unknown", "--rounds", "10", "--seed", "-5"],
+    ["analyze", "--a-values=-3"],
+    ["analyze", "--a-values", "x"],
+    ["analyze", "--a-values", "1 nan"],
+    ["analyze", "--a-values", "inf"],
+    ["analyze", "--a-values", "1", "--seed", "-1"],
+], ids=["oracle-check-seed", "train-batch-seed", "online-seed",
+        "negative-a", "unparsable-a", "nan-a", "infinite-a", "analyze-seed"])
+def test_bad_seed_or_slope_exit_2(argv, capsys):
+    """Exit code 1 is oracle-check's "checks failed", so bad input must not
+    reach it through a numpy error."""
+    assert _exit_code(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_experiment_negative_seed_override_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[experiment]\nkind = synthetic\nbudgets = 2\nfolds = 2\n[synthetic]\nn = 40\n")
+    assert _exit_code(["experiment", "--config", str(cfg), "--seed", "-4"]) == 2
     assert "Traceback" not in capsys.readouterr().err

@@ -186,7 +186,9 @@ def _resource_at(nm, u, nu, floor):
     curve, u, theta = nm._curve, np.asarray(u, dtype=float), _THETA[nm.family](nu)
     assert curve.level(theta) == pytest.approx(nu, rel=1e-13)
     if nm.family == "tabulated":
-        top, _, c, lo, hi, base = curve._window(curve._segments(u, floor), theta, theta)
+        seg = curve._segments(u, floor)
+        spent = curve._spent(seg[0], seg[3], seg[5], theta)
+        top, _, c, lo, hi, base = curve._window(seg, spent, spent)
     else:
         top, _, c, lo, hi, base = curve.pieces(u, floor, math.nan)  # no budget needed
     return np.where(top > theta, np.minimum(lo + c * (top - theta), hi), base).max(
@@ -322,6 +324,17 @@ def test_synthetic_class_balance():
     ds = generate_synthetic(7.0, 240000, label_noise_sd=0.0, rng=RngConfig(42))
     frac = float(np.mean(ds.labels == 1.0))
     assert 0.45 <= frac <= 0.55
+
+
+@pytest.mark.parametrize("seed", [-1, 2.0, 2.5, True, "3", None])
+def test_rng_config_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(InvalidInputError):
+        RngConfig(seed)
+
+
+def test_rng_config_takes_numpy_integers():
+    a = RngConfig(np.int64(9)).stream("x").integers(1 << 62)
+    assert a == RngConfig(9).stream("x").integers(1 << 62)
 
 
 def test_synthetic_deterministic():
