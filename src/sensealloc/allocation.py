@@ -88,7 +88,7 @@ def _waterfill(weights: np.ndarray, curve, floor: float, R: float):
     # none inside, every feature sits where its whole subdifferential holds the
     # level, so the dust stays; only a budget left over past every cap (the
     # lowest level) is spread.
-    gap = R - r_on.sum()
+    gap = (R - n_active * floor) - np.sum(r_on - floor)  # in excess of the floors
     inside = np.any(rising & (lo + abs(gap) < reach) & (reach < hi - abs(gap)), axis=1)
     if np.any(inside):
         share = np.where(inside, c[:, 0] if endless else 1.0, 0.0)
@@ -184,6 +184,8 @@ def allocate_quantization(w, R: float) -> AllocationResult:
     d = weights.shape[0]
     if not 0 < R < math.inf:
         raise InfeasibleSetError(f"budget must be positive and finite, got {R}")
+    if not d:
+        raise InfeasibleSetError(f"no features to spend the budget R={R} on")
     if R < d:
         raise BudgetTooSmallError(f"need at least one bit per feature: R={R} < d={d}")
     nonzero = np.flatnonzero(weights != 0.0)

@@ -5,11 +5,15 @@ with a uniform allocation costs exactly d |w|_2^2 / |w|_1^2 times the budget
 the optimal allocation needs, with w replaced by w*c under a per-feature
 noise scale c.  The numeric budget search below reproduces
 that ratio without using the identity, which makes the two routes a useful
-cross-check on each other.
+cross-check on each other.  It is Newton's method from the left on the
+convex, decreasing noise term of each rule, with no bracket and no
+tolerance: the uniform rule starts at the smallest feasible budget, the
+optimal rule at the uniform root over d.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -22,7 +26,6 @@ from .core import (
     ResourceVector,
     RngConfig,
     _as_weights,
-    _brentq,
     generate_synthetic,
     noise_variance,
 )
@@ -57,50 +60,94 @@ def uniform_optimal_budget_ratio(w) -> float:
 
 
 def equal_loss_budget(ds: Dataset, w, b: float, nm: NoiseModel, target_loss: float,
-                      rule: str = "optimal", rtol: float = 1e-6) -> float:
+                      rule: str = "optimal") -> float:
     """Budget R at which the expected square loss hits target_loss under the
     given allocation rule ("uniform", or "optimal" = the water-fill).
 
-    The loss is strictly decreasing in R, so the bracket grows geometrically
-    from 1e-6 until it straddles the target and a root-finder polishes it to
-    relative tolerance rtol.  Targets at or below the clean-data MSE floor,
-    or met even as R -> 0, have no budget to find.
+    The data term does not depend on R, so R solves V(R) = target_loss minus
+    the data term for the noise variance V of the rule.  V is convex and
+    decreasing, and Newton's method from a budget left of the root finds it
+    with no bracket: a tangent lies below V, so no step passes the root, and
+    the search ends when V reaches the target or a step no longer moves R.
+    The uniform rule starts at the smallest feasible budget (for a closed
+    form with no fixed floor, 1e-6 divided by 8 until V lies above the
+    target); the optimal rule starts at the uniform root over d, which lies
+    left of its own root.  Targets at or below the clean-data MSE floor, met
+    at every budget, or above every budget's loss have no budget to find.
     """
     if rule not in ("uniform", "optimal"):
         raise InvalidInputError(f"unknown allocation rule {rule!r}")
     weights = _as_weights(w)
-    d = weights.shape[0]
-    floor = square_loss_total(ds, weights, b, ResourceVector.uniform(1.0, d), nm).data_term
-    if target_loss <= floor:
-        raise UnattainableLossError(
-            f"target {target_loss:.6g} at or below the MSE floor {floor:.6g}"
-        )
+    data = _data_term(ds, weights, b, nm)
+    r_unif = _uniform_budget(weights, nm, data, target_loss)
+    if rule == "uniform":
+        return r_unif
+    return _optimal_budget(weights, nm, target_loss - data, r_unif)
 
-    def alloc(R: float) -> ResourceVector:
-        if rule == "uniform":
-            return ResourceVector.uniform(R, d)
-        return allocate_waterfill(weights, nm, R).r
 
-    def gap(R: float) -> float:  # the data term does not depend on R
-        return floor + noise_variance(weights, alloc(R), nm) - target_loss
+def _data_term(ds: Dataset, weights: np.ndarray, b: float, nm: NoiseModel) -> float:
+    return square_loss_total(ds, weights, b, ResourceVector.uniform(1.0, weights.shape[0]),
+                             nm).data_term
 
-    lo, gap_lo = 1e-6, gap(1e-6)
-    while gap_lo < 0 and lo > 1e-30:
-        lo /= 8.0
-        gap_lo = gap(lo)
-    if gap_lo < 0:
-        raise InvalidInputError(f"target {target_loss:.6g} is met at every budget: the loss "
-                                f"tends to {target_loss + gap_lo:.6g} as R -> 0")
-    hi = max(2e-6, 2.0 * lo)
-    grow = 0
-    while gap(hi) > 0:
-        hi *= 8.0
-        grow += 1
-        if grow > 200:
-            raise UnattainableLossError(
-                f"loss never reaches {target_loss:.6g}; noise floor too high"
-            )
-    return _brentq(gap, lo, hi, xtol=2e-12, rtol=rtol, maxiter=300)
+
+def _uniform_budget(weights: np.ndarray, nm: NoiseModel, data: float, target: float) -> float:
+    """Root of V_u(R) = sum w^2 c^2 s^2(R/d) = target - data on the unit curve
+    s, with slope sum w^2 c^2 s^2'(R/d) / d from the right."""
+    if math.isnan(target):
+        raise InvalidInputError("target loss is NaN")
+    if target <= data:
+        raise UnattainableLossError(f"target {target:.6g} at or below the MSE floor {data:.6g}")
+    d, curve, excess = weights.shape[0], nm._curve, target - data
+    a = float(np.sum((weights * nm._scale_for(weights)) ** 2))
+
+    def value(R: float) -> tuple[float, float]:
+        return (a * float(curve.sigma(R / d)) ** 2,
+                a * float(curve.dsigma_sq_sides(R / d)[0]) / d)
+
+    R = d * nm.floor_for(0.0)  # the smallest feasible budget: 0 without a fixed floor
+    if not R:
+        R = 1e-6
+        while value(R)[0] < excess and R > 1e-30:
+            R /= 8.0
+    noise = value(R)[0]
+    if noise < excess:
+        raise InvalidInputError(f"target {target:.6g} is met at every budget: the loss is "
+                                f"{data + noise:.6g} already at R = {R:.3g}")
+    return _newton_from_left(value, R, excess)
+
+
+def _optimal_budget(weights: np.ndarray, nm: NoiseModel, excess: float,
+                    r_unif: float) -> float:
+    """Root of the water-fill's V(R) = excess, whose slope -2 sqrt(V) lam comes
+    with the solve (Boyd & Vandenberghe 2004, sec. 5.6).  Every r_i <= R, so
+    V(R) >= V_u(d R) and the uniform root over d lies left of the root, as
+    does the smallest feasible budget n r0 (the water-fill needs a hair more)."""
+
+    def value(R: float) -> tuple[float, float]:
+        res = allocate_waterfill(weights, nm, R)
+        noise = noise_variance(weights, res.r, nm)
+        return noise, -2.0 * math.sqrt(noise) * res.lam
+
+    n = np.count_nonzero(weights)
+    start = max(r_unif / weights.shape[0], math.nextafter(n * nm.floor_for(0.0), math.inf))
+    return _newton_from_left(value, start, excess)
+
+
+def _newton_from_left(value, R: float, excess: float) -> float:
+    """Newton's method on a convex decreasing V, value(R) = (V, V'), from R with
+    V(R) >= excess: each step lands at or left of the root, so R only rises.
+    A flat V above the excess (a table past its caps) never reaches it."""
+    noise, slope = value(R)
+    while noise > excess:
+        if not slope < 0:
+            raise UnattainableLossError(f"loss never reaches the target: the noise term stays "
+                                        f"at {noise:.6g} above {excess:.6g} for R >= {R:.6g}")
+        nxt = R + (noise - excess) / -slope
+        if not nxt > R:
+            break
+        R = nxt
+        noise, slope = value(R)
+    return float(R)
 
 
 def budget_ratio_bounds(w_uniform, w_optimal) -> tuple[float, float]:
@@ -118,13 +165,11 @@ def ratio_report(ds: Dataset, w, b: float, nm: NoiseModel,
     """Run both equal-loss searches for one classifier and compare with the
     closed-form ratio of the scaled weights w*c."""
     weights = _as_weights(w)
+    data = _data_term(ds, weights, b, nm)
     if target_loss is None:
-        floor = square_loss_total(
-            ds, weights, b, ResourceVector.uniform(1.0, weights.shape[0]), nm
-        ).data_term
-        target_loss = floor + np.abs(weights).sum() ** 2 / 10.0
-    r_unif = equal_loss_budget(ds, weights, b, nm, target_loss, "uniform")
-    r_opt = equal_loss_budget(ds, weights, b, nm, target_loss, "optimal")
+        target_loss = data + np.abs(weights).sum() ** 2 / 10.0
+    r_unif = _uniform_budget(weights, nm, data, target_loss)
+    r_opt = _optimal_budget(weights, nm, target_loss - data, r_unif)
     return RatioReport(
         theoretical_ratio=uniform_optimal_budget_ratio(weights * nm.scale),
         empirical_ratio=r_unif / r_opt,

@@ -23,7 +23,6 @@ from .errors import (
     InfeasibleAllocationError,
     InvalidInputError,
     InvalidNoiseModelError,
-    RootSearchError,
 )
 
 ArrayLike = Union[np.ndarray, Sequence[float]]
@@ -171,64 +170,6 @@ def _as_weights(w) -> np.ndarray:
     if not np.isfinite(weights).all():
         raise InvalidInputError("classifier weights must be finite")
     return weights
-
-
-def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> float:
-    """Root of f between a and b, where f(a) and f(b) differ in sign, by
-    Brent's method (Brent 1973, *Algorithms for Minimization without
-    Derivatives*, ch. 4): a secant or inverse quadratic step when it shrinks
-    the bracket fast enough, else bisection.  Stops once half the bracket is
-    below (xtol + rtol |x|) / 2.  On a finite bracket the iteration, down to
-    each comparison, is that of the C ``brentq`` behind
-    ``scipy.optimize.brentq``, so it visits the same iterates and returns the
-    same float."""
-
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise RootSearchError(f"function value at x={x!r} is NaN")
-        return fx
-
-    xpre, xcur = a, b
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise RootSearchError(f"f({a!r}) = {fpre!r} and f({b!r}) = {fcur!r} have the same sign")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if (fpre < 0) != (fcur < 0):  # xblk is the other end of the bracket
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        short = False
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
-            except ZeroDivisionError:  # an underflowed divisor: C's inf or NaN step fails the test
-                pass
-        if short:
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RootSearchError(f"no convergence in {maxiter} iterations")
 
 
 class _Closed:
@@ -395,7 +336,9 @@ class _Tabulated:
         the n features with slopes would take r_bar = R / n (net of the
         floors of the others) at its level a h(r_bar), so the water level
         lies between the least and the greatest of these; at a knot the
-        least takes h(r_bar+) and the greatest h(r_bar-).  Bisection (of
+        least takes h(r_bar+) and the greatest h(r_bar-).  r_bar is at
+        least the floor; at the table start, where sigma is flat to the
+        left, both take h(r_bar+) (R within ulps of n floor).  Bisection (of
         log theta, or of theta while low is 0) narrows the bracket until no
         feature has more than max(1, K / n) of its K segment ends inside it,
         or it no longer splits, so the window holds O(n + K) pieces however
@@ -408,8 +351,8 @@ class _Tabulated:
         if not b.size:
             return spent
         own = R - (a.size - b.size) * floor
-        right, left = self.dsigma_sq_sides(own / b.size)
-        low, high = b.min() * -right, b.max() * -left
+        right, left = self.dsigma_sq_sides(max(own / b.size, floor))
+        low, high = b.min() * -right, b.max() * -(left or right)
         j_low, j_high = self._spent(b, tops, keys, np.array([[low], [high]]))
         most = max(1, keys.size // b.size)
         while (j_low - j_high).max() > most:

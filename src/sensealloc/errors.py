@@ -29,13 +29,9 @@ class InfeasibleSetError(SenseAllocError):
     """The target simplex {sum r = R, r >= floor} is empty."""
 
 
-class RootSearchError(SenseAllocError):
-    """A bracketed root search was given no sign change, met a NaN value, or
-    did not converge within its iteration cap."""
-
-
 class UnattainableLossError(SenseAllocError):
-    """The requested loss level lies below the data-term floor for any budget."""
+    """The requested loss level lies below the loss at any budget: at or below
+    the data-term floor, or below a noise term that stops falling."""
 
 
 class RankDeficiencyError(SenseAllocError):

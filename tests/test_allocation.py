@@ -237,6 +237,23 @@ def test_tabulated_waterfill_floor_inside_a_segment(tabulated):
         assert res.r.alloc.min() >= nm.floor_for(R)
 
 
+@pytest.mark.parametrize("floor", [0.01, 0.5 * (_GEOM[40] + _GEOM[41])],
+                         ids=["table-start", "inside-a-segment"])
+def test_tabulated_waterfill_a_hair_above_the_floors(tabulated, floor):
+    """R an ulp or two above n floor, so that R / n rounds to the floor: at
+    the table start the left side of sigma is flat, and taking the bracket's
+    high end from it once spent every piece, leaving lam = 0 and a residual
+    of 3376 here."""
+    nm = NoiseModel("tabulated", table=tabulated.table, floor=floor)
+    w = [-1.0, -7.0, 1.0]
+    ref = allocate_waterfill(w, nm, 3 * floor * (1 + 1e-9))
+    for R in (np.nextafter(3 * floor, 1.0), 3 * floor * (1 + 1e-15)):
+        res = allocate_waterfill(w, nm, R)
+        np.testing.assert_allclose(res.r.alloc, floor, rtol=1e-12)
+        assert res.lam == pytest.approx(ref.lam, rel=1e-8)
+        assert 0 <= res.residual < 1e-12 * res.lam
+
+
 def test_tabulated_waterfill_extreme_tables_warn_nothing():
     """On a table this flat no weight keeps finite slopes, so R is split
     evenly; on a steep one a weight of 1e-148 keeps them, although its level
@@ -410,6 +427,27 @@ def test_closed_form_level_matches_the_sort(family, d, seed, decades, share, per
     np.testing.assert_allclose(got.r.alloc, res.r.alloc[perm], rtol=0, atol=1e-12 * R)
 
 
+@given(st.sampled_from(FAMILIES), st.floats(min_value=0.0, max_value=4.0),
+       st.floats(min_value=-3.0, max_value=1.0), st.floats(min_value=-12.0, max_value=1.0),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@example(family="inverse", log_d=3.87, log_floor=-2.6, log_excess=-8.0, seed=2394)
+@example(family="inverse_sqrt", log_d=3.8, log_floor=-1.5, log_excess=-6.1, seed=1783)
+@settings(max_examples=150, deadline=None)
+def test_waterfill_near_the_floor_keeps_its_residual(family, log_d, log_floor, log_excess,
+                                                     seed):
+    """Budgets just above n floor, d log-uniform up to 10^4, weights over 12
+    decades: the float dust of summing the n floors (about eps R log n) once
+    all went to the few funded features, whose r lies near the floor, and
+    left a residual up to 8.9e-12 max(1, lam)."""
+    d = int(round(10.0**log_d))
+    floor = 10.0**log_floor
+    gen = np.random.default_rng(seed)
+    w = 10.0 ** gen.uniform(-12.0, 0.0, d) * gen.choice([-1.0, 1.0], d)
+    R = d * floor * (1 + 10.0**log_excess)
+    res = allocate_waterfill(w, NoiseModel(family, floor=floor), R)
+    assert 0 <= res.residual < 1e-12 * max(1.0, res.lam)
+
+
 class TestQuantization:
     def test_symmetric(self):
         res = allocate_quantization(np.array([1.0, 1.0]), 4.0)
@@ -435,6 +473,11 @@ class TestQuantization:
         # empty index and raised numpy's IndexError
         with pytest.raises(InfeasibleSetError):
             allocate_quantization([1.0, 2.0], R)
+
+    def test_no_features_rejected(self):
+        # an empty allocation spends none of R, as project_simplex([]) says
+        with pytest.raises(InfeasibleSetError):
+            allocate_quantization([], 3.0)
 
     def test_zero_weight_excluded(self):
         res = allocate_quantization(np.array([2.0, 0.0]), 5.0)

@@ -188,7 +188,9 @@ def test_skin_experiment_via_cli(tmp_path):
     ["--weights", "0,0", "--budget", "3"],
     ["--weights", "1,2", "--budget", "3", "--family", "tabulated"],
     ["--weights", "1,2", "--budget", "-3"],
-], ids=["nan-weight", "zero-weights", "tabulated-without-table", "negative-budget"])
+    ["--weights", ",", "--budget", "3", "--family", "quantization", "--solver", "closed-form"],
+], ids=["nan-weight", "zero-weights", "tabulated-without-table", "negative-budget",
+        "no-weights-bits"])
 def test_allocate_invalid_input_exit_2(argv, capsys):
     assert main(["allocate", *argv]) == 2
     assert "Traceback" not in capsys.readouterr().err

@@ -27,12 +27,10 @@ from sensealloc import (
     square_loss_total,
     synthetic_label,
 )
-from sensealloc.core import _brentq
 from sensealloc.errors import (
     InfeasibleAllocationError,
     InvalidInputError,
     InvalidNoiseModelError,
-    RootSearchError,
 )
 
 
@@ -456,63 +454,3 @@ def test_import_loads_no_scipy():
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
 
-
-def _monotone(kind, c, scale, power, knots):
-    """Increasing functions with one root at c: odd powers, an exponential,
-    a steep arctan and a piecewise-linear curve through random slopes."""
-    if kind == "power":
-        return lambda x: scale * math.copysign(abs(x - c) ** power, x - c)
-    if kind == "exp":
-        return lambda x: scale * math.expm1(power * (x - c))
-    if kind == "atan":
-        return lambda x: scale * (math.atan(50.0 * (x - c)) + 1e-3 * (x - c))
-    xs = c + np.concatenate((-np.cumsum(knots)[::-1], [0.0], np.cumsum(knots)))
-    ys = scale * np.concatenate((-np.cumsum(knots[::-1] * power)[::-1], [0.0],
-                                 np.cumsum(knots * power)))
-    return lambda x: float(np.interp(x, xs, ys, left=ys[0] + (x - xs[0]),
-                                     right=ys[-1] + (x - xs[-1])))
-
-
-@given(
-    kind=st.sampled_from(["power", "exp", "atan", "table"]),
-    c=st.floats(-5.0, 5.0),
-    log_scale=st.floats(-320.0, 300.0),
-    power=st.floats(0.2, 5.0),
-    knots=st.lists(st.floats(0.01, 3.0), min_size=1, max_size=6),
-    a_off=st.floats(-12.0, 12.0),
-    b_off=st.floats(-12.0, 12.0),
-    xtol=st.sampled_from([1e-13, 2e-12, 1e-8, 1e-3]),
-    rtol=st.sampled_from([8.9e-16, 1e-10, 1e-6]),
-    maxiter=st.sampled_from([3, 10, 100, 500]),
-)
-@settings(max_examples=400, deadline=None)
-def test_brentq_matches_scipy_bit_for_bit(kind, c, log_scale, power, knots, a_off, b_off,
-                                          xtol, rtol, maxiter):
-    """Brackets in either order, and without a sign change when both ends
-    lie on one side of the root."""
-    optimize = pytest.importorskip("scipy.optimize")
-    f = _monotone(kind, c, 10.0 ** log_scale, power, np.array(knots))
-    a, b = c + a_off, c + b_off
-    try:
-        ref = optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
-    except (ValueError, RuntimeError):  # no sign change, or no convergence
-        with pytest.raises(RootSearchError):
-            _brentq(f, a, b, xtol, rtol, maxiter)
-    else:
-        assert _brentq(f, a, b, xtol, rtol, maxiter) == ref
-
-
-@pytest.mark.parametrize("f, a, b", [
-    (lambda x: x * x + 1.0, -1.0, 2.0),  # no sign change
-    (lambda x: x - 0.5, 1.0, 3.0),  # both ends above the root
-    (lambda x: math.nan if x > 0.2 else x - 0.5, 0.0, 1.0),  # NaN at an end
-    (lambda x: math.nan if 0.3 < x < 0.7 else x - 0.5, 0.0, 1.0),  # NaN at an iterate
-])
-def test_brentq_bad_input_raises_package_error(f, a, b):
-    with pytest.raises(RootSearchError):
-        _brentq(f, a, b, 1e-12, 1e-12, 100)
-
-
-def test_brentq_iteration_cap_raises_package_error():
-    with pytest.raises(RootSearchError):
-        _brentq(lambda x: math.atan(1e6 * (x - 0.3)), -50.0, 50.0, 1e-14, 8.9e-16, 3)
