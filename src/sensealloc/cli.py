@@ -9,6 +9,7 @@ other invalid input (every package error not listed here), 3 data error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import replace
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .allocation import (
+    AllocationResult,
     allocate_quantization,
     allocate_waterfill,
     project_l1_ball,
@@ -30,6 +32,7 @@ from .experiments import (
     ExperimentConfig,
     emit_results,
     load_config,
+    parse_numbers,
     run_experiment,
 )
 from .oracles import (
@@ -46,9 +49,17 @@ from .losses import square_loss_total
 from .online import project_l2_ball
 
 
+#: --solver closed-form, per family.
+_CLOSED_FORMS = {
+    "inverse_sqrt": allocate_inverse_sqrt,
+    "inverse": allocate_inverse,
+    "quantization": allocate_quantization,
+}
+
+
 def _parse_numbers(raw: str, what: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in raw.replace(",", " ").split()])
+        return np.array(parse_numbers(raw))
     except ValueError as exc:
         raise ConfigError(f"cannot parse {what} {raw!r}: {exc}") from exc
 
@@ -79,20 +90,16 @@ def cmd_allocate(args) -> int:
     w = _parse_numbers(args.weights, "weights")
     if args.solver == "waterfill":
         result = allocate_waterfill(w, nm, args.budget)
-        alloc, lam = result.r.alloc, result.lam
-    elif args.family == "inverse_sqrt":
-        alloc, lam = allocate_inverse_sqrt(w, args.budget).alloc, float("nan")
-    elif args.family == "inverse":
-        alloc, lam = allocate_inverse(w, args.budget).alloc, float("nan")
-    elif args.family == "quantization":
-        result = allocate_quantization(w, args.budget)
-        alloc, lam = result.r.alloc, result.lam
+    elif args.family in _CLOSED_FORMS:
+        result = _CLOSED_FORMS[args.family](w, args.budget)
     else:
         raise ConfigError(f"no closed form for family {args.family!r}")
+    # the oracles' closed forms give a bare ResourceVector, with no marginal value
+    r, lam = (result.r, result.lam) if isinstance(result, AllocationResult) else (result, np.nan)
     payload = {
         "family": args.family,
         "budget": args.budget,
-        "allocation": [float(v) for v in alloc],
+        "allocation": [float(v) for v in r.alloc],
         "marginal_value": None if np.isnan(lam) else float(lam),
     }
     if args.format == "json":
@@ -122,35 +129,21 @@ def cmd_train_batch(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_path"] = args.out
-    if args.format is not None:
-        overrides["out_format"] = args.format
-    if args.full_scale:
-        overrides["full_scale"] = True
-    cfg = load_config(args.config, overrides)
+    flags = {"seed": args.seed, "out_path": args.out, "out_format": args.format,
+             "full_scale": args.full_scale or None}
+    cfg = load_config(args.config, {k: v for k, v in flags.items() if v is not None})
     table = run_experiment(cfg)
     if cfg.out_path:
         emit_results(table, cfg.out_path, cfg.out_format)
     else:
-        for row in table.rows:
-            print(f"{row.R!r},{row.rule},{row.mean_error!r},{row.sd_error!r},"
-                  f"{row.folds},{row.flag}")
+        csv.writer(sys.stdout, lineterminator="\n").writerows(row.cells() for row in table.rows)
     return 0
 
 
-def _online_config(args, kind: str) -> ExperimentConfig:
+def cmd_online(args, kind: str) -> int:
     cfg = ExperimentConfig(kind=kind, budgets=(args.budget,), seed=args.seed or 0,
                            horizon=args.rounds, weight_cap=args.weight_cap,
                            epsilon=args.epsilon, out_path=args.out)
-    return cfg.validate()
-
-
-def cmd_online(args, kind: str) -> int:
-    cfg = _online_config(args, kind)
     table = run_experiment(cfg)
     for row in table.rows:
         print(f"{row.rule}: tail mean loss {row.mean_error:.6g} (sd {row.sd_error:.3g})")

@@ -512,6 +512,10 @@ def generate_synthetic(a: float, n: int, label_noise_sd: float = 0.05,
     """
     if n < 1:
         raise InvalidInputError(f"need n >= 1 samples, got {n}")
+    if not math.isfinite(a):
+        raise InvalidInputError(f"slope a must be finite, got {a}")
+    if not 0.0 <= label_noise_sd < math.inf:
+        raise InvalidInputError(f"label_noise_sd must be finite and >= 0, got {label_noise_sd}")
     rng = rng if rng is not None else RngConfig(0)
     gen = rng.stream("synthetic-data")
     pts = gen.uniform(-0.5, 0.5, size=(n, 3))

@@ -19,8 +19,8 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
-from typing import List, Optional, Tuple
+from dataclasses import astuple, dataclass, field, fields, replace
+from typing import List, NamedTuple, Optional, Tuple, get_type_hints
 
 import numpy as np
 
@@ -46,7 +46,31 @@ EXPERIMENT_KINDS = (
     "online-noisy",
 )
 
-RESULT_COLUMNS = ("R", "rule", "mean_error", "sd_error", "folds", "flag")
+
+@dataclass(frozen=True)
+class ResultRow:
+    """One line of a result table; its fields, in order, are the columns of
+    every result format."""
+
+    R: float
+    rule: str
+    mean_error: float
+    sd_error: float
+    folds: int
+    flag: str = ""
+
+    def cells(self) -> list:
+        """CSV cells, floats by repr so that a reader gets the same floats back."""
+        return [repr(v) if isinstance(v, float) else v for v in astuple(self)]
+
+    @classmethod
+    def from_record(cls, rec) -> "ResultRow":
+        """The row of a CSV record or a JSON row list."""
+        return cls(*(cast(v) for cast, v in zip(_RESULT_TYPES, rec, strict=True)))
+
+
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
+_RESULT_TYPES = tuple(get_type_hints(ResultRow).values())
 
 #: JSON layout written by emit_results(..., format="json").
 RESULT_JSON_SCHEMA = {
@@ -61,31 +85,15 @@ RESULT_JSON_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "array",
-                "prefixItems": [
-                    {"type": "number"},
-                    {"type": "string"},
-                    {"type": "number"},
-                    {"type": "number"},
-                    {"type": "integer"},
-                    {"type": "string"},
-                ],
-                "minItems": 6,
-                "maxItems": 6,
+                "prefixItems": [{"type": {float: "number", int: "integer", str: "string"}[t]}
+                                for t in _RESULT_TYPES],
+                "minItems": len(RESULT_COLUMNS),
+                "maxItems": len(RESULT_COLUMNS),
             },
         },
     },
     "additionalProperties": False,
 }
-
-
-@dataclass(frozen=True)
-class ResultRow:
-    R: float
-    rule: str
-    mean_error: float
-    sd_error: float
-    folds: int
-    flag: str = ""
 
 
 @dataclass
@@ -139,12 +147,18 @@ class ExperimentConfig:
             raise ConfigError("budget grid must be nonempty")
         if any(b <= 0 for b in self.budgets):
             raise ConfigError("budgets must be positive")
+        if not all(math.isfinite(b) for b in self.budgets):
+            raise ConfigError(f"budgets must be finite, got {self.budgets}")
         if self.folds < 1:
             raise ConfigError("folds must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.noise_scale < math.inf:
             raise ConfigError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
+        if not all(math.isfinite(a) for a in (self.a, *self.sweep_a)):
+            raise ConfigError(f"slopes must be finite, got a = {self.a}, sweep_a = {self.sweep_a}")
+        if not 0.0 <= self.label_noise_sd < math.inf:
+            raise ConfigError(f"label_noise_sd must be finite and >= 0, got {self.label_noise_sd}")
         if self.scale_mode not in ("sd", "variance"):
             raise ConfigError(f"scale_mode must be sd or variance, got {self.scale_mode!r}")
         if self.kind in ("skin", "breast"):
@@ -158,13 +172,50 @@ class ExperimentConfig:
 
 
 def default_budgets(kind: str) -> Tuple[float, ...]:
-    if kind in ("synthetic", "synthetic-sweep"):
-        return tuple(float(v) for v in np.geomspace(0.05, 50.0, 12))
-    if kind == "skin":
+    if kind in ("synthetic", "synthetic-sweep", "skin"):
         return tuple(float(v) for v in np.geomspace(0.05, 50.0, 12))
     if kind == "breast":
         return tuple(float(v) for v in np.geomspace(0.1, 100.0, 10))
     return (9.0,)
+
+
+def parse_numbers(raw: str) -> Tuple[float, ...]:
+    """Numbers separated by commas, whitespace or both."""
+    return tuple(float(v) for v in raw.replace(",", " ").split())
+
+
+def _boolean(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError("not a boolean (true/false, yes/no, on/off, 1/0)") from None
+
+
+#: INI (section, key) -> (ExperimentConfig field, parser of the raw value).
+_CONFIG_KEYS = {
+    ("experiment", "kind"): ("kind", str),
+    ("experiment", "budgets"): ("budgets", parse_numbers),
+    ("experiment", "folds"): ("folds", int),
+    ("experiment", "seed"): ("seed", int),
+    ("experiment", "noise_family"): ("noise_family", str),
+    ("experiment", "noise_scale"): ("noise_scale", float),
+    ("experiment", "scale_mode"): ("scale_mode", str),
+    ("experiment", "target_error"): ("target_error", float),
+    ("experiment", "full_scale"): ("full_scale", _boolean),
+    ("synthetic", "a"): ("a", float),
+    ("synthetic", "n"): ("n_samples", int),
+    ("synthetic", "label_noise_sd"): ("label_noise_sd", float),
+    ("synthetic", "sweep_a"): ("sweep_a", parse_numbers),
+    ("data", "path"): ("data_path", str),
+    ("data", "subsample"): ("subsample", int),
+    ("data", "train_size"): ("train_size", int),
+    ("data", "train_fraction"): ("train_fraction", float),
+    ("online", "horizon"): ("horizon", int),
+    ("online", "weight_cap"): ("weight_cap", float),
+    ("online", "epsilon"): ("epsilon", float),
+    ("output", "path"): ("out_path", str),
+    ("output", "format"): ("out_format", str),
+}
 
 
 def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -177,64 +228,44 @@ def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig
         raise ConfigError(str(exc)) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    cfg = ExperimentConfig()
-    known = {f.name for f in fields(ExperimentConfig)}
-
-    def take(section: str, key: str, cast):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            try:
-                return cast(raw)
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-        return None
-
-    def tuple_of_floats(raw: str) -> Tuple[float, ...]:
-        return tuple(float(v) for v in raw.replace(",", " ").split())
-
-    mapping = [
-        ("experiment", "kind", str, "kind"),
-        ("experiment", "budgets", tuple_of_floats, "budgets"),
-        ("experiment", "folds", int, "folds"),
-        ("experiment", "seed", int, "seed"),
-        ("experiment", "noise_family", str, "noise_family"),
-        ("experiment", "noise_scale", float, "noise_scale"),
-        ("experiment", "scale_mode", str, "scale_mode"),
-        ("experiment", "target_error", float, "target_error"),
-        ("experiment", "full_scale", lambda v: v.lower() in ("1", "true", "yes"), "full_scale"),
-        ("synthetic", "a", float, "a"),
-        ("synthetic", "n", int, "n_samples"),
-        ("synthetic", "label_noise_sd", float, "label_noise_sd"),
-        ("synthetic", "sweep_a", tuple_of_floats, "sweep_a"),
-        ("data", "path", str, "data_path"),
-        ("data", "subsample", int, "subsample"),
-        ("data", "train_size", int, "train_size"),
-        ("data", "train_fraction", float, "train_fraction"),
-        ("online", "horizon", int, "horizon"),
-        ("online", "weight_cap", float, "weight_cap"),
-        ("online", "epsilon", float, "epsilon"),
-        ("output", "path", str, "out_path"),
-        ("output", "format", str, "out_format"),
-    ]
-    mapped = {(section, key) for section, key, _, _ in mapping}
     unknown = [f"[{section}] {key}" for section in parser.sections()
-               for key in parser.options(section) if (section, key) not in mapped]
+               for key in parser.options(section) if (section, key) not in _CONFIG_KEYS]
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     updates = {}
-    for section, key, cast, attr in mapping:
-        value = take(section, key, cast)
-        if value is not None:
-            updates[attr] = value
-    cfg = replace(cfg, **updates)
+    for (section, key), (attr, cast) in _CONFIG_KEYS.items():
+        if parser.has_option(section, key):
+            raw = parser.get(section, key)
+            try:
+                updates[attr] = cast(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    cfg = ExperimentConfig(**updates)
     if overrides:
-        bad = set(overrides) - known
+        bad = set(overrides) - {f.name for f in fields(ExperimentConfig)}
         if bad:
             raise ConfigError(f"unknown config overrides: {sorted(bad)}")
         cfg = replace(cfg, **overrides)
     if not cfg.budgets:
         cfg = replace(cfg, budgets=default_budgets(cfg.kind))
     return cfg.validate()
+
+
+class _UciFormat(NamedTuple):
+    sep: Optional[str]  # None: any run of whitespace
+    n_fields: int
+    features: slice
+    labels: dict  # label in the file -> +1 / -1
+    label_rule: str
+    skip_missing: bool  # drop rows with a '?' field
+
+
+_UCI_FORMATS = {
+    "skin": _UciFormat(None, 4, slice(0, 3), {1.0: 1.0, 2.0: -1.0},
+                       "label must be 1 or 2", False),
+    "breast": _UciFormat(",", 11, slice(1, 10), {2.0: -1.0, 4.0: 1.0},
+                         "class must be 2 or 4", True),
+}
 
 
 def ingest_uci(path: str, dataset_kind: str) -> Dataset:
@@ -245,7 +276,8 @@ def ingest_uci(path: str, dataset_kind: str) -> Dataset:
     class 2 (benign -> -1) or 4 (malignant -> +1); rows containing '?' are
     dropped.  Normalization happens later, per training split.
     """
-    if dataset_kind not in ("skin", "breast"):
+    fmt = _UCI_FORMATS.get(dataset_kind)
+    if fmt is None:
         raise DataError(f"unknown dataset kind {dataset_kind!r}")
     features: List[List[float]] = []
     labels: List[float] = []
@@ -258,33 +290,21 @@ def ingest_uci(path: str, dataset_kind: str) -> Dataset:
             line = line.strip()
             if not line:
                 continue
-            if dataset_kind == "skin":
-                parts = line.split()
-                if len(parts) != 4:
-                    raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-                try:
-                    b, g, r_val, lab = (float(p) for p in parts)
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: {exc}") from exc
-                if lab not in (1.0, 2.0):
-                    raise DataError(f"{path}:{lineno}: label must be 1 or 2, got {lab}")
-                features.append([b, g, r_val])
-                labels.append(1.0 if lab == 1.0 else -1.0)
-            else:
-                parts = line.split(",")
-                if len(parts) != 11:
-                    raise DataError(f"{path}:{lineno}: expected 11 fields, got {len(parts)}")
-                if "?" in parts:
-                    continue
-                try:
-                    values = [float(p) for p in parts[1:10]]
-                    lab = float(parts[10])
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: {exc}") from exc
-                if lab not in (2.0, 4.0):
-                    raise DataError(f"{path}:{lineno}: class must be 2 or 4, got {lab}")
-                features.append(values)
-                labels.append(-1.0 if lab == 2.0 else 1.0)
+            parts = line.split(fmt.sep)
+            if len(parts) != fmt.n_fields:
+                raise DataError(
+                    f"{path}:{lineno}: expected {fmt.n_fields} fields, got {len(parts)}")
+            if fmt.skip_missing and "?" in parts:
+                continue
+            try:
+                values = [float(v) for v in parts[fmt.features]]
+                lab = float(parts[-1])
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            if lab not in fmt.labels:
+                raise DataError(f"{path}:{lineno}: {fmt.label_rule}, got {lab}")
+            features.append(values)
+            labels.append(fmt.labels[lab])
     if not features:
         raise DataError(f"{path}: no usable rows after cleaning")
     return Dataset(np.array(features), np.array(labels))
@@ -409,18 +429,15 @@ def _online_rows(cfg: ExperimentConfig) -> ResultTable:
     ocfg = OnlineConfig(weight_cap=cfg.weight_cap, budget=R, horizon=cfg.horizon,
                         epsilon=cfg.epsilon)
     tail = max(1, cfg.horizon // 10)
-    if cfg.kind == "online-unknown":
+    rules = ("unknown",) if cfg.kind == "online-unknown" else ("uniform", "efficient")
+    for rule in rules:
+        # every rule sees the same stream
         oracle = SampleOracle(sampler, nm, budget=R, dim=d, mode="shared",
                               rng=RngConfig(cfg.seed))
-        trace = run_unknown(oracle, ocfg)
-        runs = [("unknown", trace)]
-    else:
-        runs = []
-        for rule in ("uniform", "efficient"):
-            oracle = SampleOracle(sampler, nm, budget=R, dim=d, mode="shared",
-                                  rng=RngConfig(cfg.seed))
-            runs.append((rule, run_noisy(oracle, ocfg, rule, nm)))
-    for rule, trace in runs:
+        if rule == "unknown":
+            trace = run_unknown(oracle, ocfg)
+        else:
+            trace = run_noisy(oracle, ocfg, rule, nm)
         window = trace.losses[-tail:]
         table.rows.append(ResultRow(
             R=float(R), rule=rule, mean_error=float(window.mean()),
@@ -523,19 +540,10 @@ def emit_results(table: ResultTable, path: str, format: str = "csv") -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(RESULT_COLUMNS)
-            for row in table.rows:
-                writer.writerow([
-                    repr(row.R), row.rule, repr(row.mean_error),
-                    repr(row.sd_error), row.folds, row.flag,
-                ])
+            writer.writerows(row.cells() for row in table.rows)
     elif format == "json":
-        payload = {
-            "columns": list(RESULT_COLUMNS),
-            "rows": [
-                [row.R, row.rule, row.mean_error, row.sd_error, row.folds, row.flag]
-                for row in table.rows
-            ],
-        }
+        payload = {"columns": list(RESULT_COLUMNS),
+                   "rows": [list(astuple(row)) for row in table.rows]}
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -544,24 +552,12 @@ def emit_results(table: ResultTable, path: str, format: str = "csv") -> None:
 
 
 def read_results(path: str, format: str = "csv") -> ResultTable:
-    table = ResultTable()
-    if format == "csv":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
+    with open(path, newline="") as fh:
+        if format == "csv":
+            records = csv.reader(fh)
+            header = next(records)
             if tuple(header) != RESULT_COLUMNS:
                 raise DataError(f"unexpected header {header}")
-            for rec in reader:
-                table.rows.append(ResultRow(
-                    R=float(rec[0]), rule=rec[1], mean_error=float(rec[2]),
-                    sd_error=float(rec[3]), folds=int(rec[4]), flag=rec[5],
-                ))
-    else:
-        with open(path) as fh:
-            payload = json.load(fh)
-        for rec in payload["rows"]:
-            table.rows.append(ResultRow(
-                R=float(rec[0]), rule=rec[1], mean_error=float(rec[2]),
-                sd_error=float(rec[3]), folds=int(rec[4]), flag=rec[5],
-            ))
-    return table
+        else:
+            records = json.load(fh)["rows"]
+        return ResultTable([ResultRow.from_record(rec) for rec in records])

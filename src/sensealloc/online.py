@@ -26,15 +26,13 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .allocation import project_l1_ball, simplex_projection_raw
 from .core import FLOOR_FRACTION, NoiseModel, RngConfig
 from .errors import ConfigError, InfeasibleSetError, InvalidInputError
-
-AllocRule = Union[str, Callable[[np.ndarray], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -250,6 +248,8 @@ def regret_bound_unknown(cfg: OnlineConfig, T: int, variant: str = "fresh") -> f
     are coupled: "fresh" (independent samples), "shared" (same sample, fresh
     noise), or "correlated" (same sample, coupled noise; needs bgrad).
     """
+    if isinstance(T, bool) or not isinstance(T, numbers.Integral) or T < 1:
+        raise InvalidInputError(f"T must be a positive whole number of rounds, got {T!r}")
     p = cfg.bound_params
     if p is None:
         raise ConfigError("bound_params are required to evaluate the regret bound")
@@ -271,9 +271,7 @@ def regret_bound_unknown(cfg: OnlineConfig, T: int, variant: str = "fresh") -> f
     return diameter * math.sqrt(T) / 2.0 + (math.sqrt(T) - 0.5) * grad_sq
 
 
-def _resolve_rule(rule: AllocRule, R: float, d: int) -> Callable[[np.ndarray], np.ndarray]:
-    if callable(rule):
-        return rule
+def _resolve_rule(rule: str, R: float, d: int) -> Callable[[np.ndarray], np.ndarray]:
     if rule == "uniform":
         return lambda w: np.full(d, R / d)
     if rule == "efficient":
@@ -287,14 +285,14 @@ def _resolve_rule(rule: AllocRule, R: float, d: int) -> Callable[[np.ndarray], n
     raise ConfigError(f"unknown allocation rule {rule!r}")
 
 
-def run_noisy(oracle: SampleOracle, cfg: OnlineConfig, alloc_rule: AllocRule,
+def run_noisy(oracle: SampleOracle, cfg: OnlineConfig, alloc_rule: str,
               nm: NoiseModel) -> RegretTrace:
     """Projected SGD on noisy measurements with a known noise covariance.
 
     Gradient 2(w.x - y)x - Sigma(r)w, L1-ball projection of the weights, and
-    the plug-in allocation rule applied to the fresh weights; the step is the
-    constant B_W/sqrt(T).  Losses are squared errors on the noisy
-    measurements themselves.
+    the plug-in allocation rule ("uniform" or "efficient") applied to the
+    fresh weights; the step is the constant B_W/sqrt(T).  Losses are squared
+    errors on the noisy measurements themselves.
     """
     R = cfg.budget
     cap = cfg.weight_cap

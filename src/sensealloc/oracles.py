@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -176,6 +177,8 @@ def mc_expected_loss(ds: Dataset, w, b: float, r: ResourceVector, nm: NoiseModel
     noise with sd sigma_i(r_i); returns (mean, standard error)."""
     if n_draws < 1000:
         raise InvalidInputError("use at least 1000 draws")
+    if isinstance(n_draws, bool) or not isinstance(n_draws, numbers.Integral):
+        raise InvalidInputError(f"n_draws must be an integer, got {n_draws!r}")
     if loss_kind not in ("square", "hinge"):
         raise InvalidInputError(f"unknown loss kind {loss_kind!r}")
     weights = _as_weights(w)

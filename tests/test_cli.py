@@ -9,6 +9,7 @@ from sensealloc import (
     ResourceVector,
     RngConfig,
     generate_synthetic,
+    read_results,
     square_loss_total,
 )
 from sensealloc.cli import main
@@ -100,25 +101,53 @@ def test_experiment_roundtrip(tmp_path):
     assert len(lines) == 7
 
 
+@pytest.mark.parametrize("ini", [
+    "[experiment]\nkind = synthetic\nbudgets = 2, 8\nfolds = 2\nseed = 3\n"
+    "[synthetic]\nn = 400\n",
+    "[experiment]\nkind = synthetic-sweep\nbudgets = 0.5 2\nfolds = 2\nseed = 1\n"
+    "[synthetic]\nn = 300\nsweep_a = 1 7\n",
+], ids=["synthetic", "sweep-with-flags"])
+def test_experiment_stdout_matches_out_files(tmp_path, capsys, ini):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(ini)
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    stdout = capsys.readouterr().out
+    rows_csv, rows_json = tmp_path / "rows.csv", tmp_path / "rows.json"
+    assert main(["experiment", "--config", str(cfg), "--out", str(rows_csv)]) == 0
+    assert main(["experiment", "--config", str(cfg), "--out", str(rows_json),
+                 "--format", "json"]) == 0
+    assert stdout.splitlines() == rows_csv.read_text().splitlines()[1:]
+    # repr, because a sweep row without a crossing holds a NaN ratio
+    assert (repr(read_results(str(rows_json), "json").rows)
+            == repr(read_results(str(rows_csv), "csv").rows))
+
+
 def test_experiment_bad_config_exit_2(tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text("[experiment]\nkind = nonsense\n")
     assert main(["experiment", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("line", [
-    "scale_mode = bogus\n",
-    "noise_scale = -1\n",
-    "noise_scale = nan\n",
-    "train_size = 100\n",
-    "[experiment]\n",
-    "seed = -3\n",
+@pytest.mark.parametrize("line, synthetic", [
+    ("scale_mode = bogus\n", ""),
+    ("noise_scale = -1\n", ""),
+    ("noise_scale = nan\n", ""),
+    ("train_size = 100\n", ""),
+    ("[experiment]\n", ""),
+    ("seed = -3\n", ""),
+    ("full_scale = ture\n", ""),
+    ("", "a = nan\n"),
+    ("", "a = inf\n"),
+    ("", "sweep_a = 1 nan\n"),
+    ("", "label_noise_sd = nan\n"),
+    ("", "label_noise_sd = -1\n"),
 ], ids=["bad-scale-mode", "negative-noise-scale", "nan-noise-scale", "unmapped-key",
-        "duplicate-section", "negative-seed"])
-def test_experiment_invalid_config_exit_2(tmp_path, capsys, line):
+        "duplicate-section", "negative-seed", "full-scale-typo", "nan-slope",
+        "infinite-slope", "nan-sweep-slope", "nan-label-noise", "negative-label-noise"])
+def test_experiment_invalid_config_exit_2(tmp_path, capsys, line, synthetic):
     cfg = tmp_path / "exp.ini"
     cfg.write_text("[experiment]\nkind = synthetic\nbudgets = 2 8\nfolds = 2\n" + line
-                   + "[synthetic]\nn = 400\n")
+                   + "[synthetic]\nn = 400\n" + synthetic)
     assert main(["experiment", "--config", str(cfg)]) == 2
     assert "config error" in capsys.readouterr().err
 
@@ -213,8 +242,11 @@ def _exit_code(argv):
     ["analyze", "--a-values", "1 nan"],
     ["analyze", "--a-values", "inf"],
     ["analyze", "--a-values", "1", "--seed", "-1"],
+    ["train-batch", "--a", "nan", "--n", "40"],
+    ["train-batch", "--a", "inf", "--n", "40"],
 ], ids=["oracle-check-seed", "train-batch-seed", "online-seed",
-        "negative-a", "unparsable-a", "nan-a", "infinite-a", "analyze-seed"])
+        "negative-a", "unparsable-a", "nan-a", "infinite-a", "analyze-seed",
+        "train-batch-nan-a", "train-batch-infinite-a"])
 def test_bad_seed_or_slope_exit_2(argv, capsys):
     """Exit code 1 is oracle-check's "checks failed", so bad input must not
     reach it through a numpy error."""

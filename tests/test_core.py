@@ -407,10 +407,15 @@ def test_dataset_validation():
     lambda: LinearClassifier(np.array([1.0, np.nan])),
     lambda: LinearClassifier(np.ones(2), bias=np.inf),
     lambda: generate_synthetic(7.0, 0),
+    lambda: generate_synthetic(np.nan, 10),
+    lambda: generate_synthetic(-np.inf, 10),
+    lambda: generate_synthetic(7.0, 10, label_noise_sd=np.nan),
+    lambda: generate_synthetic(7.0, 10, label_noise_sd=-1.0),
     lambda: inject_noise(Dataset(np.ones((2, 1)), np.ones(2)), ResourceVector.uniform(1.0, 1),
                          NoiseModel("inverse"), scale_mode="stdev"),
 ], ids=["empty", "label-count", "non-finite", "names", "weights", "bias", "synthetic-n",
-        "scale-mode"])
+        "synthetic-nan-slope", "synthetic-infinite-slope", "synthetic-nan-label-noise",
+        "synthetic-negative-label-noise", "scale-mode"])
 def test_core_types_raise_invalid_input(build):
     with pytest.raises(InvalidInputError):
         build()

@@ -228,6 +228,24 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             ExperimentConfig(kind="synthetic", budgets=(1.0, -2.0)).validate()
 
+    @pytest.mark.parametrize("budget", [np.nan, np.inf])
+    def test_non_finite_budget_rejected(self, tmp_path, budget):
+        with pytest.raises(ConfigError, match="finite"):
+            ExperimentConfig(kind="synthetic", budgets=(1.0, budget)).validate()
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[experiment]\nkind = synthetic\nbudgets = 1 {budget}\n")
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("word, value", [
+        ("true", True), ("Yes", True), ("on", True), ("1", True),
+        ("false", False), ("no", False), ("OFF", False), ("0", False),
+    ])
+    def test_full_scale_takes_boolean_words(self, tmp_path, word, value):
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[experiment]\nkind = synthetic\nfull_scale = {word}\n")
+        assert load_config(str(path)).full_scale is value
+
     def test_readme_example_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]

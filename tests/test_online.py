@@ -203,6 +203,11 @@ class TestUnknownBound:
         ok = self.cfg(bound_params=BoundParams(1.0, 1.0, 1.0, bgrad=2.0))
         assert regret_bound_unknown(ok, 10, variant="correlated") > 0
 
+    @pytest.mark.parametrize("T", [-1, 0, 2.5, math.nan])
+    def test_bad_horizon_rejected(self, T):
+        with pytest.raises(InvalidInputError, match="rounds"):
+            regret_bound_unknown(self.cfg(), T)
+
 
 class TestRunNoisy:
     def test_feasibility_and_l1_cap(self, inverse_sqrt):
@@ -259,13 +264,14 @@ class TestRunNoisy:
         last = trace.losses[-400:].mean()
         assert last < 0.05 * first
 
-    def test_custom_rule_callable(self, inverse_sqrt):
+    @pytest.mark.parametrize("rule", ["greedy", lambda w: np.array([3.0, 2.0, 1.0])],
+                             ids=["unknown-name", "callable"])
+    def test_rule_must_be_uniform_or_efficient(self, inverse_sqrt, rule):
         cfg = OnlineConfig(weight_cap=1.0, budget=6.0, horizon=5)
         oracle = SampleOracle(make_sampler(np.ones(3), 0.5), inverse_sqrt,
                               budget=6.0, dim=3, rng=RngConfig(13))
-        rule = lambda w: np.array([3.0, 2.0, 1.0])
-        trace = run_noisy(oracle, cfg, rule, inverse_sqrt)
-        np.testing.assert_allclose(trace.allocations[-1], [3.0, 2.0, 1.0])
+        with pytest.raises(ConfigError, match="unknown allocation rule"):
+            run_noisy(oracle, cfg, rule, inverse_sqrt)
 
 
 class TestNoisyBounds:

@@ -185,3 +185,6 @@ def test_oracle_input_errors_are_package_errors(inverse_sqrt):
     with pytest.raises(InvalidInputError, match="loss kind"):
         mc_expected_loss(ds, np.ones(1), 0.0, ResourceVector(np.ones(1), 1.0),
                          inverse_sqrt, "logistic", 1000, RngConfig(0))
+    with pytest.raises(InvalidInputError, match="integer"):
+        mc_expected_loss(ds, np.ones(1), 0.0, ResourceVector(np.ones(1), 1.0),
+                         inverse_sqrt, "square", 1000.5, RngConfig(0))
