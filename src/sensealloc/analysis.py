@@ -160,14 +160,13 @@ def budget_ratio_bounds(w_uniform, w_optimal) -> tuple[float, float]:
     )
 
 
-def ratio_report(ds: Dataset, w, b: float, nm: NoiseModel,
-                 target_loss: Optional[float] = None) -> RatioReport:
-    """Run both equal-loss searches for one classifier and compare with the
-    closed-form ratio of the scaled weights w*c."""
+def ratio_report(ds: Dataset, w, b: float, nm: NoiseModel) -> RatioReport:
+    """Run both equal-loss searches for one classifier, at a target loss of
+    the data term plus |w|_1^2 / 10, and compare with the closed-form ratio
+    of the scaled weights w*c."""
     weights = _as_weights(w)
     data = _data_term(ds, weights, b, nm)
-    if target_loss is None:
-        target_loss = data + np.abs(weights).sum() ** 2 / 10.0
+    target_loss = data + np.abs(weights).sum() ** 2 / 10.0
     r_unif = _uniform_budget(weights, nm, data, target_loss)
     r_opt = _optimal_budget(weights, nm, target_loss - data, r_unif)
     return RatioReport(
@@ -179,13 +178,12 @@ def ratio_report(ds: Dataset, w, b: float, nm: NoiseModel,
 def verify_convexity(loss_fn: Callable[[np.ndarray], float],
                      domain_sampler: Callable[[np.random.Generator], tuple],
                      n_checks: int = 1000,
-                     rng: Optional[RngConfig] = None,
-                     slack: float = 1e-10) -> ConvexityReport:
+                     rng: Optional[RngConfig] = None) -> ConvexityReport:
     """Midpoint-convexity probe along random segments.
 
     domain_sampler(gen) must return a pair of points (each accepted by
     loss_fn); a segment counts as a violation when the midpoint value exceeds
-    the chord average by more than ``slack`` (plus a relative float cushion).
+    the chord average by more than 1e-10 (plus a relative float cushion).
     Violations are reported, never raised; a clean run on a convex loss and a
     dirty run on a concave fixture are both informative.
     """
@@ -200,7 +198,7 @@ def verify_convexity(loss_fn: Callable[[np.ndarray], float],
         fa, fc, fm = loss_fn(a), loss_fn(c), loss_fn(mid)
         chord = 0.5 * (fa + fc)
         gap = fm - chord
-        tol = slack + 1e-12 * max(abs(fa), abs(fc), 1.0)
+        tol = 1e-10 + 1e-12 * max(abs(fa), abs(fc), 1.0)
         if gap > tol:
             violations += 1
             worst = max(worst, gap)

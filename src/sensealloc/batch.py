@@ -52,8 +52,7 @@ def ridge_step(ds: Dataset, r: ResourceVector, nm: NoiseModel) -> LinearClassifi
     X = ds.features
     y = ds.labels
     M, d = X.shape
-    clamped = np.maximum(r.alloc, nm.floor_for(r.budget))
-    penalty = nm.sigma_sq(clamped)
+    penalty = nm.sigma_at(r) ** 2
     Xa = np.hstack([X, np.ones((M, 1))])
     A = Xa.T @ Xa / M + np.diag(np.append(penalty, 0.0))
     rhs = Xa.T @ y / M
@@ -231,12 +230,10 @@ def solve_robust_hinge(ds: Dataset, nm: NoiseModel, R: float,
         start = fit_hinge(ds, inner_iters)
     elif start.dim != ds.n_features:
         raise InvalidInputError(f"start has {start.dim} weights for {ds.n_features} features")
-    floor = nm.floor_for(R)
 
     def descend(r: ResourceVector, clf: LinearClassifier) -> LinearClassifier:
-        sigma_sq = nm.sigma_sq(np.maximum(r.alloc, floor))
-        w, b, _ = _hinge_descent(ds.features, ds.labels, sigma_sq, clf.weights, clf.bias,
-                                 inner_iters)
+        w, b, _ = _hinge_descent(ds.features, ds.labels, nm.sigma_at(r) ** 2, clf.weights,
+                                 clf.bias, inner_iters)
         return LinearClassifier(w, b)
 
     report = _alternate(

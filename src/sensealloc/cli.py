@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -179,10 +178,9 @@ def cmd_oracle_check(args) -> int:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}{': ' + detail if detail else ''}")
         failures += 0 if ok else 1
 
-    def aggregate_at(w, r_arr, nm, R):
-        rr = np.maximum(r_arr, nm.floor_for(R))
+    def aggregate_at(w, r, nm):
         active = w != 0.0
-        return float(np.sqrt(np.sum(w[active] ** 2 * nm.sigma_sq(rr[active]))))
+        return float(np.sqrt(np.sum(w[active] ** 2 * nm.sigma_at(r)[active] ** 2)))
 
     for family in ("inverse", "inverse_sqrt", "quantization"):
         nm = NoiseModel(family)
@@ -191,7 +189,7 @@ def cmd_oracle_check(args) -> int:
         R = 5.0
         res = allocate_waterfill(w, nm, R)
         grid = grid_alloc_search(w, nm, R, GridSpec(budget=R, resolution=1e-3 * R))
-        gap = aggregate_at(w, res.r.alloc, nm, R) - aggregate_at(w, grid.alloc, nm, R)
+        gap = aggregate_at(w, res.r, nm) - aggregate_at(w, grid, nm)
         check(f"allocation vs grid ({family})", gap <= 1e-4, f"gap {gap:.2e}")
 
     v = rng.normal(size=5)

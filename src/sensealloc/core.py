@@ -63,7 +63,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    feature_names: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.features, dtype=float))
@@ -74,8 +73,6 @@ class Dataset:
             raise InvalidInputError(f"feature rows {X.shape[0]} != label count {y.shape[0]}")
         if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
             raise InvalidInputError("dataset contains NaN or Inf entries")
-        if self.feature_names is not None and len(self.feature_names) != X.shape[1]:
-            raise InvalidInputError("feature_names length mismatch")
         object.__setattr__(self, "features", _frozen_array(X))
         object.__setattr__(self, "labels", _frozen_array(y))
 
@@ -92,7 +89,7 @@ class Dataset:
         return bool(np.all(np.abs(self.labels) == 1.0))
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.features[idx], self.labels[idx], self.feature_names)
+        return Dataset(self.features[idx], self.labels[idx])
 
 
 @dataclass(frozen=True)
@@ -147,9 +144,6 @@ class ResourceVector:
     def dim(self) -> int:
         return self.alloc.shape[0]
 
-    def is_saturated(self, rtol: float = 1e-8) -> bool:
-        return abs(self.alloc.sum() - self.budget) <= rtol * self.budget
-
     @staticmethod
     def uniform(budget: float, d: int) -> "ResourceVector":
         if d < 1:
@@ -164,8 +158,6 @@ def _check_allocated(ds: Dataset, r: ResourceVector) -> None:
 
 
 def _as_weights(w) -> np.ndarray:
-    if isinstance(w, LinearClassifier):
-        return w.weights
     weights = np.asarray(w, dtype=float).ravel()
     if not np.isfinite(weights).all():
         raise InvalidInputError("classifier weights must be finite")
@@ -439,10 +431,6 @@ class NoiseModel:
         floor = self.floor if self.floor is not None else FLOOR_FRACTION * budget
         return max(floor, self._curve.start)
 
-    def feature_scale(self, i: int) -> float:
-        c = np.asarray(self.scale, dtype=float)
-        return float(c) if c.ndim == 0 else float(c[i])
-
     def _scale_for(self, x: np.ndarray) -> Union[float, np.ndarray]:
         """The scale, once it is known to serve the features along the last
         axis of x: a scalar, or one constant per feature (or a single one)."""
@@ -461,30 +449,28 @@ class NoiseModel:
     def sigma_sq(self, r: ArrayLike) -> np.ndarray:
         return self.sigma(r) ** 2
 
+    def sigma_at(self, r: ResourceVector) -> np.ndarray:
+        """sigma_i(r_i) at an allocation, each r_i raised to the floor for
+        its budget: the one place sigma is read at an allocation."""
+        return self.sigma(np.maximum(r.alloc, self.floor_for(r.budget)))
 
-def check_allocation_feasible(w, r: ResourceVector, nm: NoiseModel) -> np.ndarray:
-    """Return the effective floor-clamped allocation, raising when a feature
-    with nonzero weight sits below the evaluation floor."""
+
+def noise_variance(w, r: ResourceVector, nm: NoiseModel) -> float:
+    """Sum of w_i^2 sigma_i^2(r_i); zero-weight features contribute nothing.
+    Raises when a feature with nonzero weight sits below the evaluation floor."""
     weights = _as_weights(w)
     if weights.shape[0] != r.dim:
         raise InvalidInputError(f"{weights.shape[0]} weights for {r.dim} allocated features")
     floor = nm.floor_for(r.budget)
-    below = (r.alloc < floor) & (weights != 0.0)
+    active = weights != 0.0
+    below = (r.alloc < floor) & active
     if np.any(below):
         idx = int(np.flatnonzero(below)[0])
         raise InfeasibleAllocationError(
             f"feature {idx} has weight {weights[idx]:.3g} but allocation "
             f"{r.alloc[idx]:.3g} below floor {floor:.3g}"
         )
-    return np.maximum(r.alloc, floor)
-
-
-def noise_variance(w, r: ResourceVector, nm: NoiseModel) -> float:
-    """Sum of w_i^2 sigma_i^2(r_i); zero-weight features contribute nothing."""
-    weights = _as_weights(w)
-    clamped = check_allocation_feasible(weights, r, nm)
-    active = weights != 0.0
-    return float(np.sum(weights[active] ** 2 * nm.sigma_sq(clamped)[active]))
+    return float(np.sum(weights[active] ** 2 * nm.sigma_at(r)[active] ** 2))
 
 
 def sigma_aggregate(w, r: ResourceVector, nm: NoiseModel) -> float:
@@ -521,7 +507,7 @@ def generate_synthetic(a: float, n: int, label_noise_sd: float = 0.05,
     pts = gen.uniform(-0.5, 0.5, size=(n, 3))
     noise = gen.normal(0.0, label_noise_sd, size=n) if label_noise_sd > 0 else 0.0
     labels = synthetic_label(pts, a, noise)
-    return Dataset(pts, labels, feature_names=("x", "y", "z"))
+    return Dataset(pts, labels)
 
 
 def inject_noise(ds: Dataset, r: ResourceVector, nm: NoiseModel, scale: float = 1.0 / 3.0,
@@ -536,12 +522,11 @@ def inject_noise(ds: Dataset, r: ResourceVector, nm: NoiseModel, scale: float = 
     if scale_mode not in ("sd", "variance"):
         raise InvalidInputError("scale_mode must be 'sd' or 'variance'")
     _check_allocated(ds, r)
-    clamped = np.maximum(r.alloc, nm.floor_for(r.budget))
-    sigma = nm.sigma(clamped)
+    sigma = nm.sigma_at(r)
     sd = scale * sigma if scale_mode == "sd" else np.sqrt(scale * sigma)
     if scale == 0.0:
-        return Dataset(ds.features.copy(), ds.labels.copy(), ds.feature_names)
+        return Dataset(ds.features.copy(), ds.labels.copy())
     rng = rng if rng is not None else RngConfig(0)
     gen = rng.stream("noise-injection")
     delta = gen.normal(0.0, 1.0, size=ds.features.shape) * sd
-    return Dataset(ds.features + delta, ds.labels.copy(), ds.feature_names)
+    return Dataset(ds.features + delta, ds.labels.copy())

@@ -29,7 +29,6 @@ from .batch import fit_hinge, solve_robust_hinge
 from .core import (
     Dataset,
     NoiseModel,
-    ResourceVector,
     RngConfig,
     generate_synthetic,
     inject_noise,
@@ -103,13 +102,6 @@ class ResultTable:
     def for_rule(self, rule: str) -> List[ResultRow]:
         return sorted((row for row in self.rows if row.rule == rule), key=lambda r: r.R)
 
-    def rules(self) -> Tuple[str, ...]:
-        seen = []
-        for row in self.rows:
-            if row.rule not in seen:
-                seen.append(row.rule)
-        return tuple(seen)
-
 
 @dataclass
 class ExperimentConfig:
@@ -161,6 +153,12 @@ class ExperimentConfig:
             raise ConfigError(f"label_noise_sd must be finite and >= 0, got {self.label_noise_sd}")
         if self.scale_mode not in ("sd", "variance"):
             raise ConfigError(f"scale_mode must be sd or variance, got {self.scale_mode!r}")
+        for name in ("subsample", "train_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("train_fraction", "target_error"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
         if self.kind in ("skin", "breast"):
             if not self.data_path:
                 raise ConfigError(f"{self.kind} experiment needs data_path")
@@ -322,8 +320,8 @@ def _normalize_split(train: Dataset, test: Dataset) -> Tuple[Dataset, Dataset]:
     sd = train.features.std(axis=0)
     sd = np.where(sd > 0, sd, 1.0)
     return (
-        Dataset((train.features - mean) / sd, train.labels, train.feature_names),
-        Dataset((test.features - mean) / sd, test.labels, test.feature_names),
+        Dataset((train.features - mean) / sd, train.labels),
+        Dataset((test.features - mean) / sd, test.labels),
     )
 
 
@@ -389,13 +387,10 @@ def _classification_rows(cfg: ExperimentConfig, ds: Dataset, nm: NoiseModel) -> 
             rep_u = solve_robust_hinge(train, nm, R, optimize_allocation=False,
                                        start=clean_clf)
             rep_j = solve_robust_hinge(train, nm, R, start=clean_clf)
-            alloc_uniform = ResourceVector.uniform(R, ds.n_features)
-            alloc_joint = rep_j.resources
-            alloc_for_clean = allocate_waterfill(clean_clf.weights, nm, R).r
             regimes = (
-                ("uniform", rep_u.classifier, alloc_uniform),
-                ("optimal", rep_j.classifier, alloc_joint),
-                ("fixed_clf_optimal", clean_clf, alloc_for_clean),
+                ("uniform", rep_u.classifier, rep_u.resources),
+                ("optimal", rep_j.classifier, rep_j.resources),
+                ("fixed_clf_optimal", clean_clf, allocate_waterfill(clean_clf.weights, nm, R).r),
             )
             for rule, clf, alloc in regimes:
                 noisy = inject_noise(
@@ -552,12 +547,20 @@ def emit_results(table: ResultTable, path: str, format: str = "csv") -> None:
 
 
 def read_results(path: str, format: str = "csv") -> ResultTable:
+    """Read a table written by emit_results; a file that holds no such
+    table is a DataError."""
+    if format not in ("csv", "json"):
+        raise ConfigError(f"unknown output format {format!r}")
     with open(path, newline="") as fh:
-        if format == "csv":
-            records = csv.reader(fh)
-            header = next(records)
-            if tuple(header) != RESULT_COLUMNS:
-                raise DataError(f"unexpected header {header}")
-        else:
-            records = json.load(fh)["rows"]
-        return ResultTable([ResultRow.from_record(rec) for rec in records])
+        try:
+            if format == "csv":
+                records = csv.reader(fh)
+                header = next(records, None)
+                if header is None or tuple(header) != RESULT_COLUMNS:
+                    raise DataError(f"{path}: unexpected header {header}")
+            else:
+                records = json.load(fh)["rows"]
+            return ResultTable([ResultRow.from_record(rec) for rec in records])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: not a table of {', '.join(RESULT_COLUMNS)} rows: "
+                            f"{exc!r}") from exc

@@ -341,12 +341,12 @@ def regret_bound_noisy(cfg: OnlineConfig, d: int, bx4: float,
     return float(G), float(bound)
 
 
-def best_fixed_square_loss_l1(X: np.ndarray, y: np.ndarray, radius: float,
-                              iters: int = 4000) -> float:
+def best_fixed_square_loss_l1(X: np.ndarray, y: np.ndarray, radius: float) -> float:
     """min over ||w||_1 <= radius of sum (w.x_t - y_t)^2 on a recorded stream.
 
     Uses the unconstrained least-squares solution when it is feasible;
-    otherwise accelerated projected gradient down to the constraint.
+    otherwise 4000 steps of accelerated projected gradient down to the
+    constraint.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -360,7 +360,7 @@ def best_fixed_square_loss_l1(X: np.ndarray, y: np.ndarray, radius: float,
     w = project_l1_ball(w_ls, radius)
     z = w.copy()
     t_prev = 1.0
-    for _ in range(iters):
+    for _ in range(4000):
         grad = 2.0 * (gram @ z - xty)
         w_next = project_l1_ball(z - grad / lip, radius)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_prev**2))

@@ -56,10 +56,10 @@ def allocate_inverse(w, R: float) -> ResourceVector:
     return ResourceVector(R * weights / total, R)
 
 
-def _sigma_sq_feature(nm: NoiseModel, i: int, r: np.ndarray) -> np.ndarray:
-    """Oracle-local sigma_i^2 evaluation; own formulas for the analytic
-    families so the search shares no code with the solver."""
-    c = nm.feature_scale(i)
+def _sigma_sq_feature(nm: NoiseModel, c: float, r: np.ndarray) -> np.ndarray:
+    """Oracle-local sigma_i^2 evaluation for a feature of scale c; own
+    formulas for the analytic families so the search shares no code with the
+    solver."""
     r = np.asarray(r, dtype=float)
     if nm.family == "inverse":
         with np.errstate(divide="ignore"):
@@ -97,13 +97,14 @@ def grid_alloc_search(w, nm: NoiseModel, R: float,
         raise GridTooLargeError(f"{work} candidate evaluations exceed cap {spec.max_points:g}")
     h = spec.budget / n
     levels = h * np.arange(n + 1)
+    scales = np.broadcast_to(nm._scale_for(weights), d)
 
     costs = []
     for i in range(d):
         if weights[i] == 0.0:
             costs.append(np.zeros(n + 1))
         else:
-            costs.append(weights[i] ** 2 * _sigma_sq_feature(nm, i, levels))
+            costs.append(weights[i] ** 2 * _sigma_sq_feature(nm, scales[i], levels))
 
     if d == 1:
         return ResourceVector(np.array([spec.budget]), spec.budget)
@@ -171,8 +172,7 @@ def oracle_tabulated_waterfill(w, nm: NoiseModel, R: float) -> np.ndarray:
 
 
 def mc_expected_loss(ds: Dataset, w, b: float, r: ResourceVector, nm: NoiseModel,
-                     loss_kind: str, n_draws: int, rng: RngConfig,
-                     chunk: int = 2000) -> Tuple[float, float]:
+                     loss_kind: str, n_draws: int, rng: RngConfig) -> Tuple[float, float]:
     """Monte-Carlo estimate of the expected loss under per-feature Gaussian
     noise with sd sigma_i(r_i); returns (mean, standard error)."""
     if n_draws < 1000:
@@ -182,15 +182,13 @@ def mc_expected_loss(ds: Dataset, w, b: float, r: ResourceVector, nm: NoiseModel
     if loss_kind not in ("square", "hinge"):
         raise InvalidInputError(f"unknown loss kind {loss_kind!r}")
     weights = _as_weights(w)
-    floor = nm.floor_for(r.budget)
-    sd = nm.sigma(np.maximum(r.alloc, floor))
-    sd = np.where(weights == 0.0, 0.0, sd)  # zero-weight features never enter the loss
+    sd = np.where(weights == 0.0, 0.0, nm.sigma_at(r))  # zero-weight features never enter the loss
     gen = rng.stream("mc-expected-loss")
     clean = ds.features @ weights + b
     per_draw = np.empty(n_draws)
     done = 0
     while done < n_draws:
-        k = min(chunk, n_draws - done)
+        k = min(2000, n_draws - done)
         # fresh noise per sample, per feature, per draw
         delta = gen.normal(0.0, 1.0, size=(k, ds.n_samples, ds.n_features)) * sd
         shifted = clean[None, :] + delta @ weights
@@ -211,8 +209,7 @@ def mc_ellipsoid_support(w, r: ResourceVector, nm: NoiseModel, n_draws: int,
     the maximum over random boundary points (the sup of a linear function over
     a ball sits on the boundary)."""
     weights = _as_weights(w)
-    sd = nm.sigma(np.maximum(r.alloc, nm.floor_for(r.budget)))
-    sd = np.where(weights == 0.0, 0.0, sd)
+    sd = np.where(weights == 0.0, 0.0, nm.sigma_at(r))
     gen = rng.stream("mc-support")
     best = 0.0
     done = 0

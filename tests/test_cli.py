@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import skin_lines
+from conftest import breast_lines, skin_lines
 from sensealloc import (
     NoiseModel,
     ResourceVector,
@@ -128,28 +128,53 @@ def test_experiment_bad_config_exit_2(tmp_path):
     assert main(["experiment", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("line, synthetic", [
-    ("scale_mode = bogus\n", ""),
-    ("noise_scale = -1\n", ""),
-    ("noise_scale = nan\n", ""),
-    ("train_size = 100\n", ""),
-    ("[experiment]\n", ""),
-    ("seed = -3\n", ""),
-    ("full_scale = ture\n", ""),
-    ("", "a = nan\n"),
-    ("", "a = inf\n"),
-    ("", "sweep_a = 1 nan\n"),
-    ("", "label_noise_sd = nan\n"),
-    ("", "label_noise_sd = -1\n"),
+_DATA_FILES = {
+    "skin": skin_lines([(10 * k, 200 - k, 3 * k, 1 + k % 2) for k in range(20)]),
+    "breast": breast_lines([(k, *[1 + (k + j) % 9 for j in range(9)], 2 + 2 * (k % 2))
+                            for k in range(20)]),
+}
+
+
+@pytest.mark.parametrize("kind, line, synthetic, data", [
+    ("synthetic", "scale_mode = bogus\n", "", ""),
+    ("synthetic", "noise_scale = -1\n", "", ""),
+    ("synthetic", "noise_scale = nan\n", "", ""),
+    ("synthetic", "train_size = 100\n", "", ""),
+    ("synthetic", "[experiment]\n", "", ""),
+    ("synthetic", "seed = -3\n", "", ""),
+    ("synthetic", "full_scale = ture\n", "", ""),
+    ("synthetic", "", "a = nan\n", ""),
+    ("synthetic", "", "a = inf\n", ""),
+    ("synthetic", "", "sweep_a = 1 nan\n", ""),
+    ("synthetic", "", "label_noise_sd = nan\n", ""),
+    ("synthetic", "", "label_noise_sd = -1\n", ""),
+    ("skin", "", "", "subsample = -5\n"),
+    ("skin", "", "", "subsample = 0\n"),
+    ("synthetic", "", "", "train_size = -1\n"),
+    ("synthetic", "", "", "train_size = 0\n"),
+    ("breast", "", "", "train_fraction = nan\n"),
+    ("breast", "", "", "train_fraction = 0\n"),
+    ("breast", "", "", "train_fraction = 1\n"),
+    ("synthetic-sweep", "target_error = nan\n", "sweep_a = 7\n", ""),
+    ("synthetic-sweep", "target_error = 0\n", "sweep_a = 7\n", ""),
+    ("synthetic-sweep", "target_error = 1\n", "sweep_a = 7\n", ""),
 ], ids=["bad-scale-mode", "negative-noise-scale", "nan-noise-scale", "unmapped-key",
         "duplicate-section", "negative-seed", "full-scale-typo", "nan-slope",
-        "infinite-slope", "nan-sweep-slope", "nan-label-noise", "negative-label-noise"])
-def test_experiment_invalid_config_exit_2(tmp_path, capsys, line, synthetic):
+        "infinite-slope", "nan-sweep-slope", "nan-label-noise", "negative-label-noise",
+        "negative-subsample", "zero-subsample", "negative-train-size", "zero-train-size",
+        "nan-train-fraction", "zero-train-fraction", "unit-train-fraction",
+        "nan-target-error", "zero-target-error", "unit-target-error"])
+def test_experiment_invalid_config_exit_2(tmp_path, capsys, kind, line, synthetic, data):
+    if kind in _DATA_FILES:
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(_DATA_FILES[kind])
+        data = f"path = {path}\n" + data
     cfg = tmp_path / "exp.ini"
-    cfg.write_text("[experiment]\nkind = synthetic\nbudgets = 2 8\nfolds = 2\n" + line
-                   + "[synthetic]\nn = 400\n" + synthetic)
+    cfg.write_text(f"[experiment]\nkind = {kind}\nbudgets = 2 8\nfolds = 2\n" + line
+                   + "[synthetic]\nn = 400\n" + synthetic + "[data]\n" + data)
     assert main(["experiment", "--config", str(cfg)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("folds", [1, 500])

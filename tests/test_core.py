@@ -129,6 +129,25 @@ def test_scale_length_checked_wherever_sigma_is_evaluated(entry):
         _SIGMA_USERS[entry](NoiseModel("inverse_sqrt", scale=[1.0, 2.0]))
 
 
+@pytest.mark.parametrize("family", ["inverse", "inverse_sqrt", "quantization", "tabulated"])
+@pytest.mark.parametrize("floor", [None, 0.3])
+def test_sigma_at_is_sigma_at_the_floored_allocation(family, floor, tabulated):
+    table = tabulated.table if family == "tabulated" else None
+    models = [NoiseModel(family, scale=scale, floor=floor, table=table)
+              for scale in (1.0, [0.5, 2.0, 1.3])]
+    for nm in models + [tabulated]:
+        for alloc in ([0.0, 1e-12, 5.0], [2.0, 2.0, 2.0], [0.1, 0.0, 0.2]):
+            r = ResourceVector(np.array(alloc), 6.0)
+            want = nm.sigma(np.maximum(r.alloc, nm.floor_for(r.budget)))
+            np.testing.assert_array_equal(nm.sigma_at(r), want)
+
+
+def test_sigma_at_finite_where_the_allocation_holds_a_zero(inverse):
+    r = ResourceVector(np.array([0.0, 3.0]), 3.0)
+    assert np.all(np.isfinite(inverse.sigma_at(r)))
+    assert inverse.sigma(r.alloc)[0] == np.inf
+
+
 def test_sigma_checks_the_scale_against_the_last_axis():
     nm = NoiseModel("inverse", scale=[1.0, 2.0, 0.5])
     np.testing.assert_array_equal(nm.sigma(np.ones((4, 3))), np.tile([1.0, 2.0, 0.5], (4, 1)))
@@ -403,7 +422,6 @@ def test_dataset_validation():
     lambda: Dataset(np.ones((0, 2)), np.ones(0)),
     lambda: Dataset(np.ones((3, 2)), np.ones(2)),
     lambda: Dataset(np.array([[np.inf, 1.0]]), np.array([1.0])),
-    lambda: Dataset(np.ones((2, 2)), np.ones(2), feature_names=("x",)),
     lambda: LinearClassifier(np.array([1.0, np.nan])),
     lambda: LinearClassifier(np.ones(2), bias=np.inf),
     lambda: generate_synthetic(7.0, 0),
@@ -413,7 +431,7 @@ def test_dataset_validation():
     lambda: generate_synthetic(7.0, 10, label_noise_sd=-1.0),
     lambda: inject_noise(Dataset(np.ones((2, 1)), np.ones(2)), ResourceVector.uniform(1.0, 1),
                          NoiseModel("inverse"), scale_mode="stdev"),
-], ids=["empty", "label-count", "non-finite", "names", "weights", "bias", "synthetic-n",
+], ids=["empty", "label-count", "non-finite", "weights", "bias", "synthetic-n",
         "synthetic-nan-slope", "synthetic-infinite-slope", "synthetic-nan-label-noise",
         "synthetic-negative-label-noise", "scale-mode"])
 def test_core_types_raise_invalid_input(build):
@@ -428,8 +446,6 @@ def test_resource_vector_validation():
         ResourceVector(np.array([0.6, 0.6]), 1.0)
     with pytest.raises(InfeasibleAllocationError):
         ResourceVector(np.array([0.5]), 0.0)
-    rv = ResourceVector(np.array([0.25, 0.75]), 1.0)
-    assert rv.is_saturated()
 
 
 def test_rng_streams_disjoint():

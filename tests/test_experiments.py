@@ -142,6 +142,30 @@ class TestResultIo:
         emit_results(ResultTable(), str(path), "csv")
         assert path.read_text().strip() == "R,rule,mean_error,sd_error,folds,flag"
 
+    @pytest.mark.parametrize("format, text", [
+        ("csv", ""),
+        ("csv", "R,rule,mean_error,sd_error,folds,flag\n1.0,uniform,0.25,0.01,4\n"),
+        ("csv", "R,rule,mean_error,sd_error,folds,flag\n1.0,uniform,0.25,0.01,4,,x\n"),
+        ("csv", "R,rule,mean_error,sd_error,folds,flag\n1.0,uniform,low,0.01,4,\n"),
+        ("json", '{"columns": ["R", "rule", "mean_error", "sd_error", "folds", "flag"]}'),
+        ("json", '{"rows": [[1.0, "uniform", 0.25, 0.01, 4]]}'),
+        ("json", '{"rows": [[1.0, "uniform", "low", 0.01, 4, ""]]}'),
+        ("json", "[1, 2]"),
+        ("json", ""),
+    ], ids=["csv-empty", "csv-short", "csv-long", "csv-non-numeric", "json-no-rows",
+            "json-short", "json-non-numeric", "json-not-object", "json-empty"])
+    def test_malformed_file_is_data_error(self, tmp_path, format, text):
+        path = tmp_path / f"bad.{format}"
+        path.write_text(text)
+        with pytest.raises(DataError):
+            read_results(str(path), format)
+
+    def test_unknown_format_is_config_error(self, tmp_path):
+        path = tmp_path / "out.csv"
+        emit_results(self.make_table(), str(path), "csv")
+        with pytest.raises(ConfigError, match="unknown output format"):
+            read_results(str(path), "xml")
+
 
 class TestMatchedError:
     def table(self):
@@ -274,7 +298,7 @@ class TestSyntheticExperiment:
         t1 = run_experiment(tiny_cfg)
         t2 = run_experiment(tiny_cfg)
         assert t1.rows == t2.rows
-        assert set(t1.rules()) == {"uniform", "optimal", "fixed_clf_optimal"}
+        assert {row.rule for row in t1.rows} == {"uniform", "optimal", "fixed_clf_optimal"}
         assert len(t1.rows) == 9
         for row in t1.rows:
             assert 0.0 <= row.mean_error <= 1.0
@@ -283,7 +307,7 @@ class TestSyntheticExperiment:
 
     def test_error_decreases_with_budget(self, tiny_cfg):
         table = run_experiment(tiny_cfg)
-        for rule in table.rules():
+        for rule in {row.rule for row in table.rows}:
             errs = [row.mean_error for row in table.for_rule(rule)]
             assert errs[0] > errs[-1]
 

@@ -4,6 +4,7 @@ import pytest
 from sensealloc import (
     Dataset,
     GridSpec,
+    NoiseModel,
     ResourceVector,
     RngConfig,
     finite_diff_grad,
@@ -17,7 +18,7 @@ from sensealloc import (
     oracle_project_l2,
     square_loss_total,
 )
-from sensealloc.errors import GridTooLargeError, InvalidInputError
+from sensealloc.errors import GridTooLargeError, InvalidInputError, InvalidNoiseModelError
 from sensealloc.oracles import _sigma_sq_feature
 
 
@@ -48,6 +49,19 @@ class TestGridSearch:
                                 GridSpec(budget=6.0, resolution=0.01))
         assert out.alloc.sum() == pytest.approx(6.0)
 
+    @pytest.mark.parametrize("family", ["inverse", "inverse_sqrt", "quantization", "tabulated"])
+    def test_one_entry_scale_acts_as_scalar_scale(self, family, request):
+        base = request.getfixturevalue(family)
+        w = np.array([1.0, 3.0])
+        got = [grid_alloc_search(w, NoiseModel(family, scale=scale, floor=base.floor,
+                                               table=base.table), 4.0).alloc
+               for scale in ([2.0], 2.0)]
+        np.testing.assert_array_equal(*got)
+
+    def test_scale_with_too_many_entries_rejected(self):
+        with pytest.raises(InvalidNoiseModelError, match="3 scale constants for 2 features"):
+            grid_alloc_search([1.0, 3.0], NoiseModel("inverse", scale=[2.0, 1.0, 0.5]), 4.0)
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("family", ["inverse", "inverse_sqrt", "quantization", "tabulated"])
     def test_matches_full_enumeration(self, d, family, request):
@@ -66,8 +80,9 @@ class TestGridSearch:
             R = float(rng.uniform(0.5, 4.0)) * d
             out = grid_alloc_search(w, nm, R, GridSpec(budget=R, resolution=R / n))
             levels = (R / n) * np.arange(n + 1)
-            costs = [np.zeros(n + 1) if w[i] == 0.0 else w[i] ** 2 * _sigma_sq_feature(nm, i, levels)
-                     for i in range(d)]
+            scales = np.broadcast_to(nm.scale, d)
+            costs = [np.zeros(n + 1) if w[i] == 0.0
+                     else w[i] ** 2 * _sigma_sq_feature(nm, scales[i], levels) for i in range(d)]
             ks = np.stack(np.meshgrid(*[np.arange(n + 1)] * (d - 1), indexing="ij"), -1)
             ks = ks.reshape(-1, d - 1)
             ks = ks[ks.sum(axis=1) <= n]  # lexicographic order is kept
